@@ -3,43 +3,11 @@
 //! Usage: `cargo run -p capsim-bench --bin bench_check -- FILE...`
 //!
 //! Each file must parse as a JSON object of string / number / bool values
-//! plus, at most one level deep, arrays of such flat objects (the shape
-//! of the fleet scaling curve — the only nesting our bench bins emit).
-//! Files whose names match a known artifact must carry that artifact's
-//! required keys:
-//!
-//! * `BENCH_hotpath*`: `accesses_per_sec`, `machine_loads_per_sec`,
-//!   `ticks_per_sec` — all positive numbers,
-//! * `BENCH_fleet*`: `nodes`, `speedup` positive; `deterministic` must be
-//!   `true`; `curve` must be a non-empty array of scaling points, each
-//!   with positive `nodes`, `threads`, `shards` and
-//!   `node_epochs_per_sec`,
-//! * `BENCH_obs*`: `loads_per_sec_obs_off`, `loads_per_sec_obs_on`,
-//!   `overhead_pct`, `within_budget` — and `within_budget` must be true,
-//! * `BENCH_chaos*`: `soak_scenarios_per_sec` positive,
-//!   `guardrail_overhead_pct` numeric, `invariant_violations` exactly 0,
-//!   `within_budget` true,
-//! * `BENCH_policy*`: `deterministic` true (RL training replayed to the
-//!   same Q-table digest), `invariant_violations` exactly 0 (every
-//!   backend survived scripted chaos), `frontier` a non-empty array of
-//!   per-policy points, each with a non-empty `policy` string and
-//!   positive `energy_j` and `avg_freq_mhz`,
-//! * `BENCH_traffic*`: `deterministic` true (emergency replay identical
-//!   across thread/shard twins), `invariant_violations` exactly 0,
-//!   positive `throughput_rps`, `p99_ms` and `energy_j`; `ladder` a
-//!   non-empty array of cap rungs with positive `budget_w_per_node` and
-//!   `p99_ms`; `frontier` a non-empty array of per-policy points — one
-//!   of which must be the `"slo"` backend — each with a non-empty
-//!   `policy` string, positive `energy_j` and numeric `slo_viol_per_kj`;
-//!   `retry_storm` a non-empty array of closed-loop points with positive
-//!   `retries` and numeric `failover`; `backpressure` a non-empty array
-//!   of per-mode points — one of which must be the `"aimd_brownout"`
-//!   (robustness stack) row — each with a non-empty `mode` string,
-//!   positive `energy_j` and numeric `slo_viol_per_kj` and
-//!   `rate_multiplier`.
-//!
-//! Unknown `BENCH_*` files only need to parse. Exits non-zero listing
-//! every problem found, so CI catches a bin that wrote garbage.
+//! plus, at most one level deep, arrays of such flat objects (the only
+//! nesting our bench bins emit). Files whose names start with a prefix in
+//! [`ARTIFACTS`] must also pass that artifact's rules; other `BENCH_*`
+//! files only need to parse. Exits non-zero listing every problem found,
+//! so CI catches a bin that wrote garbage.
 
 use std::collections::BTreeMap;
 
@@ -182,6 +150,189 @@ fn parse_flat_object(text: &str) -> Result<BTreeMap<String, Val>, String> {
     Ok(map)
 }
 
+/// What one key of a bench artifact must hold.
+enum Rule {
+    /// A number greater than zero.
+    Positive,
+    /// Any number.
+    Number,
+    /// The boolean `true`; the text says what `false` means.
+    True(&'static str),
+    /// Exactly zero; the text says what a non-zero count means.
+    Zero(&'static str),
+    /// A non-empty string.
+    Text,
+    /// A non-empty array of `what`, each row checked against `row`, and
+    /// holding at least one `required` row when given.
+    Rows { what: &'static str, row: &'static [(&'static str, Rule)], required: Option<RequiredRow> },
+}
+
+/// A row an array must contain: one whose `key` equals `value`.
+struct RequiredRow {
+    key: &'static str,
+    value: &'static str,
+    label: &'static str,
+}
+
+use Rule::{Number, Positive, Rows, Text, True, Zero};
+
+/// The known artifacts: file-name prefix and the rules its keys obey.
+const ARTIFACTS: &[(&str, &[(&str, Rule)])] = &[
+    (
+        "BENCH_hotpath",
+        &[
+            ("accesses_per_sec", Positive),
+            ("machine_loads_per_sec", Positive),
+            ("ticks_per_sec", Positive),
+        ],
+    ),
+    (
+        "BENCH_fleet",
+        &[
+            ("nodes", Positive),
+            ("speedup", Positive),
+            ("deterministic", True("fleet determinism broken")),
+            (
+                "curve",
+                Rows {
+                    what: "scaling points",
+                    row: &[
+                        ("nodes", Positive),
+                        ("threads", Positive),
+                        ("shards", Positive),
+                        ("node_epochs_per_sec", Positive),
+                    ],
+                    required: None,
+                },
+            ),
+        ],
+    ),
+    (
+        "BENCH_obs",
+        &[
+            ("loads_per_sec_obs_off", Positive),
+            ("loads_per_sec_obs_on", Positive),
+            ("overhead_pct", Number),
+            ("within_budget", True("obs overhead over budget")),
+        ],
+    ),
+    (
+        "BENCH_chaos",
+        &[
+            ("soak_scenarios_per_sec", Positive),
+            ("guardrail_overhead_pct", Number),
+            ("invariant_violations", Zero("chaos run red")),
+            ("within_budget", True("guardrail overhead over budget")),
+        ],
+    ),
+    (
+        "BENCH_policy",
+        &[
+            ("deterministic", True("RL training replay diverged")),
+            ("invariant_violations", Zero("a policy broke chaos invariants")),
+            (
+                "frontier",
+                Rows {
+                    what: "per-policy points",
+                    row: &[("policy", Text), ("energy_j", Positive), ("avg_freq_mhz", Positive)],
+                    required: None,
+                },
+            ),
+        ],
+    ),
+    (
+        "BENCH_traffic",
+        &[
+            ("throughput_rps", Positive),
+            ("p99_ms", Positive),
+            ("energy_j", Positive),
+            ("deterministic", True("emergency replay diverged")),
+            ("invariant_violations", Zero("emergency broke invariants")),
+            (
+                "ladder",
+                Rows {
+                    what: "cap rungs",
+                    row: &[("budget_w_per_node", Positive), ("p99_ms", Positive)],
+                    required: None,
+                },
+            ),
+            (
+                "frontier",
+                Rows {
+                    what: "per-policy points",
+                    row: &[("policy", Text), ("energy_j", Positive), ("slo_viol_per_kj", Number)],
+                    required: Some(RequiredRow {
+                        key: "policy",
+                        value: "slo",
+                        label: "tail-aware policy",
+                    }),
+                },
+            ),
+            (
+                "retry_storm",
+                Rows {
+                    what: "closed-loop points",
+                    row: &[("retries", Positive), ("failover", Number)],
+                    required: None,
+                },
+            ),
+            (
+                "backpressure",
+                Rows {
+                    what: "per-mode points",
+                    row: &[
+                        ("mode", Text),
+                        ("energy_j", Positive),
+                        ("slo_viol_per_kj", Number),
+                        ("rate_multiplier", Number),
+                    ],
+                    required: Some(RequiredRow {
+                        key: "mode",
+                        value: "aimd_brownout",
+                        label: "robustness stack",
+                    }),
+                },
+            ),
+        ],
+    ),
+];
+
+/// Check `val` (the value at `field`, if present) against `rule`.
+fn check_value(path: &str, field: &str, rule: &Rule, val: Option<&Val>, errors: &mut Vec<String>) {
+    let Some(val) = val else {
+        errors.push(format!("{path}: missing required key {field:?}"));
+        return;
+    };
+    let problem = match (rule, val) {
+        (Positive, Val::Num(v)) if *v > 0.0 => return,
+        (Positive, Val::Num(v)) => format!("must be positive, got {v}"),
+        (Number, Val::Num(_)) => return,
+        (True(_), Val::Bool(true)) => return,
+        (True(why), Val::Bool(false)) => format!("is false — {why}"),
+        (True(_), other) => format!("must be a bool, got {other:?}"),
+        (Zero(_), Val::Num(v)) if *v == 0.0 => return,
+        (Zero(why), Val::Num(v)) => format!("must be 0, got {v} — {why}"),
+        (Positive | Number | Zero(_), other) => format!("must be a number, got {other:?}"),
+        (Text, Val::Str(s)) if !s.is_empty() => return,
+        (Text, other) => format!("must be a non-empty string, got {other:?}"),
+        (Rows { .. }, Val::Arr(rows)) if rows.is_empty() => "must not be empty".into(),
+        (Rows { row, required, .. }, Val::Arr(rows)) => {
+            for (i, r) in rows.iter().enumerate() {
+                for (key, rule) in row.iter() {
+                    check_value(path, &format!("{field}[{i}].{key}"), rule, r.get(*key), errors);
+                }
+            }
+            let Some(req) = required else { return };
+            if rows.iter().any(|r| matches!(r.get(req.key), Some(Val::Str(s)) if s == req.value)) {
+                return;
+            }
+            format!("must include the {:?} ({}) row", req.value, req.label)
+        }
+        (Rows { what, .. }, other) => format!("must be an array of {what}, got {other:?}"),
+    };
+    errors.push(format!("{path}: {field} {problem}"));
+}
+
 /// Check one file; push human-readable problems into `errors`.
 fn check_file(path: &str, errors: &mut Vec<String>) {
     let text = match std::fs::read_to_string(path) {
@@ -199,318 +350,9 @@ fn check_file(path: &str, errors: &mut Vec<String>) {
         }
     };
     let name = path.rsplit('/').next().unwrap_or(path);
-    let require_pos_num = |key: &str, errors: &mut Vec<String>| match map.get(key) {
-        Some(Val::Num(v)) if *v > 0.0 => {}
-        Some(Val::Num(v)) => errors.push(format!("{path}: {key} must be positive, got {v}")),
-        Some(other) => errors.push(format!("{path}: {key} must be a number, got {other:?}")),
-        None => errors.push(format!("{path}: missing required key {key:?}")),
-    };
-    let require_num = |key: &str, errors: &mut Vec<String>| match map.get(key) {
-        Some(Val::Num(_)) => {}
-        Some(other) => errors.push(format!("{path}: {key} must be a number, got {other:?}")),
-        None => errors.push(format!("{path}: missing required key {key:?}")),
-    };
-    if name.starts_with("BENCH_hotpath") {
-        for key in ["accesses_per_sec", "machine_loads_per_sec", "ticks_per_sec"] {
-            require_pos_num(key, errors);
-        }
-    } else if name.starts_with("BENCH_fleet") {
-        require_pos_num("nodes", errors);
-        require_pos_num("speedup", errors);
-        match map.get("deterministic") {
-            Some(Val::Bool(true)) => {}
-            Some(Val::Bool(false)) => {
-                errors.push(format!("{path}: deterministic is false — fleet determinism broken"))
-            }
-            Some(other) => {
-                errors.push(format!("{path}: deterministic must be a bool, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"deterministic\"")),
-        }
-        match map.get("curve") {
-            Some(Val::Arr(points)) if points.is_empty() => {
-                errors.push(format!("{path}: curve must not be empty"))
-            }
-            Some(Val::Arr(points)) => {
-                for (i, point) in points.iter().enumerate() {
-                    for key in ["nodes", "threads", "shards", "node_epochs_per_sec"] {
-                        match point.get(key) {
-                            Some(Val::Num(v)) if *v > 0.0 => {}
-                            Some(other) => errors.push(format!(
-                                "{path}: curve[{i}].{key} must be a positive number, got {other:?}"
-                            )),
-                            None => errors
-                                .push(format!("{path}: curve[{i}] missing required key {key:?}")),
-                        }
-                    }
-                }
-            }
-            Some(other) => errors
-                .push(format!("{path}: curve must be an array of scaling points, got {other:?}")),
-            None => errors.push(format!("{path}: missing required key \"curve\"")),
-        }
-    } else if name.starts_with("BENCH_obs") {
-        require_pos_num("loads_per_sec_obs_off", errors);
-        require_pos_num("loads_per_sec_obs_on", errors);
-        require_num("overhead_pct", errors);
-        match map.get("within_budget") {
-            Some(Val::Bool(true)) => {}
-            Some(Val::Bool(false)) => {
-                errors.push(format!("{path}: within_budget is false — obs overhead over budget"))
-            }
-            Some(other) => {
-                errors.push(format!("{path}: within_budget must be a bool, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"within_budget\"")),
-        }
-    } else if name.starts_with("BENCH_chaos") {
-        require_pos_num("soak_scenarios_per_sec", errors);
-        require_num("guardrail_overhead_pct", errors);
-        match map.get("invariant_violations") {
-            Some(Val::Num(v)) if *v == 0.0 => {}
-            Some(Val::Num(v)) => errors
-                .push(format!("{path}: invariant_violations must be 0, got {v} — chaos run red")),
-            Some(other) => {
-                errors.push(format!("{path}: invariant_violations must be a number, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"invariant_violations\"")),
-        }
-        match map.get("within_budget") {
-            Some(Val::Bool(true)) => {}
-            Some(Val::Bool(false)) => errors
-                .push(format!("{path}: within_budget is false — guardrail overhead over budget")),
-            Some(other) => {
-                errors.push(format!("{path}: within_budget must be a bool, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"within_budget\"")),
-        }
-    } else if name.starts_with("BENCH_policy") {
-        match map.get("deterministic") {
-            Some(Val::Bool(true)) => {}
-            Some(Val::Bool(false)) => {
-                errors.push(format!("{path}: deterministic is false — RL training replay diverged"))
-            }
-            Some(other) => {
-                errors.push(format!("{path}: deterministic must be a bool, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"deterministic\"")),
-        }
-        match map.get("invariant_violations") {
-            Some(Val::Num(v)) if *v == 0.0 => {}
-            Some(Val::Num(v)) => errors.push(format!(
-                "{path}: invariant_violations must be 0, got {v} — a policy broke chaos invariants"
-            )),
-            Some(other) => {
-                errors.push(format!("{path}: invariant_violations must be a number, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"invariant_violations\"")),
-        }
-        match map.get("frontier") {
-            Some(Val::Arr(points)) if points.is_empty() => {
-                errors.push(format!("{path}: frontier must not be empty"))
-            }
-            Some(Val::Arr(points)) => {
-                for (i, point) in points.iter().enumerate() {
-                    match point.get("policy") {
-                        Some(Val::Str(s)) if !s.is_empty() => {}
-                        Some(other) => errors.push(format!(
-                            "{path}: frontier[{i}].policy must be a non-empty string, got {other:?}"
-                        )),
-                        None => errors
-                            .push(format!("{path}: frontier[{i}] missing required key \"policy\"")),
-                    }
-                    for key in ["energy_j", "avg_freq_mhz"] {
-                        match point.get(key) {
-                            Some(Val::Num(v)) if *v > 0.0 => {}
-                            Some(other) => errors.push(format!(
-                                "{path}: frontier[{i}].{key} must be a positive number, got {other:?}"
-                            )),
-                            None => errors
-                                .push(format!("{path}: frontier[{i}] missing required key {key:?}")),
-                        }
-                    }
-                }
-            }
-            Some(other) => errors.push(format!(
-                "{path}: frontier must be an array of per-policy points, got {other:?}"
-            )),
-            None => errors.push(format!("{path}: missing required key \"frontier\"")),
-        }
-    } else if name.starts_with("BENCH_traffic") {
-        for key in ["throughput_rps", "p99_ms", "energy_j"] {
-            require_pos_num(key, errors);
-        }
-        match map.get("deterministic") {
-            Some(Val::Bool(true)) => {}
-            Some(Val::Bool(false)) => {
-                errors.push(format!("{path}: deterministic is false — emergency replay diverged"))
-            }
-            Some(other) => {
-                errors.push(format!("{path}: deterministic must be a bool, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"deterministic\"")),
-        }
-        match map.get("invariant_violations") {
-            Some(Val::Num(v)) if *v == 0.0 => {}
-            Some(Val::Num(v)) => errors.push(format!(
-                "{path}: invariant_violations must be 0, got {v} — emergency broke invariants"
-            )),
-            Some(other) => {
-                errors.push(format!("{path}: invariant_violations must be a number, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"invariant_violations\"")),
-        }
-        match map.get("ladder") {
-            Some(Val::Arr(points)) if points.is_empty() => {
-                errors.push(format!("{path}: ladder must not be empty"))
-            }
-            Some(Val::Arr(points)) => {
-                for (i, point) in points.iter().enumerate() {
-                    for key in ["budget_w_per_node", "p99_ms"] {
-                        match point.get(key) {
-                            Some(Val::Num(v)) if *v > 0.0 => {}
-                            Some(other) => errors.push(format!(
-                                "{path}: ladder[{i}].{key} must be a positive number, got {other:?}"
-                            )),
-                            None => errors
-                                .push(format!("{path}: ladder[{i}] missing required key {key:?}")),
-                        }
-                    }
-                }
-            }
-            Some(other) => {
-                errors.push(format!("{path}: ladder must be an array of cap rungs, got {other:?}"))
-            }
-            None => errors.push(format!("{path}: missing required key \"ladder\"")),
-        }
-        match map.get("frontier") {
-            Some(Val::Arr(points)) if points.is_empty() => {
-                errors.push(format!("{path}: frontier must not be empty"))
-            }
-            Some(Val::Arr(points)) => {
-                for (i, point) in points.iter().enumerate() {
-                    match point.get("policy") {
-                        Some(Val::Str(s)) if !s.is_empty() => {}
-                        Some(other) => errors.push(format!(
-                            "{path}: frontier[{i}].policy must be a non-empty string, got {other:?}"
-                        )),
-                        None => errors
-                            .push(format!("{path}: frontier[{i}] missing required key \"policy\"")),
-                    }
-                    match point.get("energy_j") {
-                        Some(Val::Num(v)) if *v > 0.0 => {}
-                        Some(other) => errors.push(format!(
-                            "{path}: frontier[{i}].energy_j must be a positive number, got {other:?}"
-                        )),
-                        None => errors.push(format!(
-                            "{path}: frontier[{i}] missing required key \"energy_j\""
-                        )),
-                    }
-                    match point.get("slo_viol_per_kj") {
-                        Some(Val::Num(_)) => {}
-                        Some(other) => errors.push(format!(
-                            "{path}: frontier[{i}].slo_viol_per_kj must be a number, got {other:?}"
-                        )),
-                        None => errors.push(format!(
-                            "{path}: frontier[{i}] missing required key \"slo_viol_per_kj\""
-                        )),
-                    }
-                }
-                let has_slo = points
-                    .iter()
-                    .any(|p| matches!(p.get("policy"), Some(Val::Str(s)) if s == "slo"));
-                if !has_slo {
-                    errors.push(format!(
-                        "{path}: frontier must include the \"slo\" (tail-aware) policy row"
-                    ));
-                }
-            }
-            Some(other) => errors.push(format!(
-                "{path}: frontier must be an array of per-policy points, got {other:?}"
-            )),
-            None => errors.push(format!("{path}: missing required key \"frontier\"")),
-        }
-        match map.get("retry_storm") {
-            Some(Val::Arr(points)) if points.is_empty() => {
-                errors.push(format!("{path}: retry_storm must not be empty"))
-            }
-            Some(Val::Arr(points)) => {
-                for (i, point) in points.iter().enumerate() {
-                    match point.get("retries") {
-                        Some(Val::Num(v)) if *v > 0.0 => {}
-                        Some(other) => errors.push(format!(
-                            "{path}: retry_storm[{i}].retries must be a positive number, got {other:?}"
-                        )),
-                        None => errors.push(format!(
-                            "{path}: retry_storm[{i}] missing required key \"retries\""
-                        )),
-                    }
-                    match point.get("failover") {
-                        Some(Val::Num(_)) => {}
-                        Some(other) => errors.push(format!(
-                            "{path}: retry_storm[{i}].failover must be a number, got {other:?}"
-                        )),
-                        None => errors.push(format!(
-                            "{path}: retry_storm[{i}] missing required key \"failover\""
-                        )),
-                    }
-                }
-            }
-            Some(other) => errors.push(format!(
-                "{path}: retry_storm must be an array of closed-loop points, got {other:?}"
-            )),
-            None => errors.push(format!("{path}: missing required key \"retry_storm\"")),
-        }
-        match map.get("backpressure") {
-            Some(Val::Arr(points)) if points.is_empty() => {
-                errors.push(format!("{path}: backpressure must not be empty"))
-            }
-            Some(Val::Arr(points)) => {
-                for (i, point) in points.iter().enumerate() {
-                    match point.get("mode") {
-                        Some(Val::Str(s)) if !s.is_empty() => {}
-                        Some(other) => errors.push(format!(
-                            "{path}: backpressure[{i}].mode must be a non-empty string, got {other:?}"
-                        )),
-                        None => errors.push(format!(
-                            "{path}: backpressure[{i}] missing required key \"mode\""
-                        )),
-                    }
-                    match point.get("energy_j") {
-                        Some(Val::Num(v)) if *v > 0.0 => {}
-                        Some(other) => errors.push(format!(
-                            "{path}: backpressure[{i}].energy_j must be a positive number, got {other:?}"
-                        )),
-                        None => errors.push(format!(
-                            "{path}: backpressure[{i}] missing required key \"energy_j\""
-                        )),
-                    }
-                    for key in ["slo_viol_per_kj", "rate_multiplier"] {
-                        match point.get(key) {
-                            Some(Val::Num(_)) => {}
-                            Some(other) => errors.push(format!(
-                                "{path}: backpressure[{i}].{key} must be a number, got {other:?}"
-                            )),
-                            None => errors.push(format!(
-                                "{path}: backpressure[{i}] missing required key {key:?}"
-                            )),
-                        }
-                    }
-                }
-                let has_stack = points
-                    .iter()
-                    .any(|p| matches!(p.get("mode"), Some(Val::Str(s)) if s == "aimd_brownout"));
-                if !has_stack {
-                    errors.push(format!(
-                        "{path}: backpressure must include the \"aimd_brownout\" \
-                         (robustness stack) row"
-                    ));
-                }
-            }
-            Some(other) => errors.push(format!(
-                "{path}: backpressure must be an array of per-mode points, got {other:?}"
-            )),
-            None => errors.push(format!("{path}: missing required key \"backpressure\"")),
+    if let Some((_, rules)) = ARTIFACTS.iter().find(|(prefix, _)| name.starts_with(prefix)) {
+        for (key, rule) in rules.iter() {
+            check_value(path, key, rule, map.get(*key), errors);
         }
     }
 }
@@ -727,5 +569,24 @@ mod tests {
         let mut errors = Vec::new();
         check_file(unknown.to_str().unwrap(), &mut errors);
         assert!(errors.is_empty(), "{errors:?}");
+    }
+
+    #[test]
+    fn committed_artifacts_pass() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let mut errors = Vec::new();
+                check_file(path.to_str().unwrap(), &mut errors);
+                assert!(errors.is_empty(), "{errors:?}");
+                names.push(name);
+            }
+        }
+        for (prefix, _) in ARTIFACTS {
+            assert!(names.iter().any(|n| n.starts_with(prefix)), "no committed {prefix}*.json");
+        }
     }
 }

@@ -28,6 +28,7 @@ use std::time::Instant;
 
 use capsim_dcm::FleetBuilder;
 use capsim_ipmi::FaultSpec;
+use capsim_node::WorkloadSpec;
 
 /// One measured configuration.
 #[derive(Clone)]
@@ -64,7 +65,7 @@ fn measure(p: &Point) -> (f64, usize, u64) {
         .nodes(p.nodes)
         .epochs(p.epochs)
         .seed(7)
-        .datacenter_mix(p.datacenter)
+        .workload(if p.datacenter { WorkloadSpec::DatacenterMix } else { WorkloadSpec::RoundRobin })
         .parallel(p.parallel);
     if p.lossy {
         b = b.faults(FaultSpec::lossy(0.05));

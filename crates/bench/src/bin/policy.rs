@@ -22,7 +22,7 @@ use std::time::Instant;
 use capsim_bench::Scale;
 use capsim_chaos::{check, ChaosScenario};
 use capsim_dcm::{train_rl, FleetBuilder, RlTrainConfig};
-use capsim_policy::CapPolicySpec;
+use capsim_policy::{AllocationPolicy, CapPolicySpec};
 
 /// One frontier point: a backend's whole-fleet energy and the mean
 /// measured frequency its nodes retained under the cap.
@@ -73,7 +73,7 @@ fn main() {
     assert!(deterministic, "RL training replay diverged — determinism contract broken");
 
     let specs = [
-        CapPolicySpec::Ladder(capsim_dcm::AllocationPolicy::Uniform),
+        CapPolicySpec::Ladder(AllocationPolicy::Uniform),
         CapPolicySpec::Governor(capsim_policy::GovernorConfig::default()),
         CapPolicySpec::Rl(trained.q.clone()),
     ];

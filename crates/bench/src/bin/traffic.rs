@@ -37,7 +37,7 @@ use std::time::Instant;
 use capsim_bench::Scale;
 use capsim_chaos::{check, run_scenario};
 use capsim_dcm::{train_rl, FleetBuilder, RlTrainConfig, TrafficSummary};
-use capsim_policy::CapPolicySpec;
+use capsim_policy::{AllocationPolicy, CapPolicySpec};
 use capsim_traffic::EmergencyConfig;
 
 /// One headline twin: how the same emergency is executed.
@@ -213,7 +213,7 @@ fn main() {
     eprintln!("traffic: training the RL backend ({} episodes) …", train_cfg.episodes);
     let trained = train_rl(&train_cfg);
     let specs = [
-        CapPolicySpec::Ladder(capsim_dcm::AllocationPolicy::Uniform),
+        CapPolicySpec::Ladder(AllocationPolicy::Uniform),
         CapPolicySpec::Governor(capsim_policy::GovernorConfig::default()),
         CapPolicySpec::Rl(trained.q.clone()),
         CapPolicySpec::Slo(capsim_policy::SloConfig::default()),

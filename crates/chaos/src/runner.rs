@@ -42,7 +42,7 @@ pub struct ChaosScenario {
     pub observe: bool,
     pub invariants: InvariantConfig,
     /// Pluggable capping policy for every node + the group planner
-    /// (None: the fleet's stock ladder + `AllocationPolicy` path). Lets
+    /// (None: the fleet's default `LadderCapPolicy`). Lets
     /// the fault plans double as an adversarial eval for policy backends.
     pub policy: Option<CapPolicySpec>,
 }

@@ -1,7 +1,7 @@
 //! The raw per-core performance-counter file and the frequency meter.
 //!
-//! `capsim-counters` exposes these through a PAPI-style API; the fields
-//! mirror the events the paper collected with PAPI on the Romley platform.
+//! `Machine::counters_now` sums these across cores; the fields mirror the
+//! events the paper collected with PAPI on the Romley platform.
 //! Memory-side events live in `capsim_mem::MemStats`; this file holds the
 //! core-side ones.
 

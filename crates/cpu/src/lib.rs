@@ -14,7 +14,7 @@
 //!   executed-vs-committed instruction gap via wrong-path work,
 //! * the **simulated clock** ([`clock`]) integrating cycles over a varying
 //!   frequency, and
-//! * the **counter file** ([`counters`]) backing the PAPI facade,
+//! * the **counter file** ([`counters`]) behind `Machine::counters_now`,
 //!   including the APERF/MPERF-style frequency meter.
 
 pub mod branch;

@@ -14,8 +14,8 @@
 //!    outcomes in canonical node order (replaying retry/timeout
 //!    observability and health transitions exactly as a flat manager
 //!    would have), runs fleet-side violation detection, and plans the
-//!    budget allocation over the nodes that answered (uniform /
-//!    proportional / priority).
+//!    budget allocation over the nodes that answered through the
+//!    installed [`CapPolicy`]'s group half.
 //! 3. **Push phase** (parallel over shards) — groups push the planned
 //!    caps (DCMI *Set* + *Activate*), again capturing outcomes.
 //! 4. **Root barrier** (serial) — outcomes absorbed in node order; the
@@ -29,9 +29,9 @@
 //! **Determinism contract:** per-node transactions touch only that
 //! node's link and BMC, and the root absorbs outcomes in registration
 //! order, so serial, parallel and *any* shard count produce byte-equal
-//! reports and observability streams. The allocation policies are
-//! written in partition-invariant closed form (see `policy.rs`) so the
-//! root's plan also cannot depend on how demand was gathered.
+//! reports and observability streams. The allocation rules are written
+//! in partition-invariant closed form (see [`capsim_policy::allocate`])
+//! so the root's plan also cannot depend on how demand was gathered.
 //!
 //! Two elisions keep quiescent fleets cheap, both decided from state
 //! that cannot depend on sharding: a poll is skipped when the root's
@@ -51,17 +51,16 @@ use capsim_ipmi::{
     splitmix64, CompletionCode, FaultSpec, FaultStats, GetPowerReading, IpmiError, LanChannel,
     ManagerPort, PowerLimit, PowerReading, Request, Response, RetryPolicy, Transact, WireOutcome,
 };
-use capsim_node::workload::traffic_keys;
+use capsim_node::workload::{traffic_keys, WorkloadSpec};
 use capsim_node::{EpochWorkload, Machine, MachineConfig, QueueRoom, RunStats};
 use capsim_obs::{
     events_to_csv, events_to_jsonl, merge_streams, Event, EventKind, MetricsSnapshot,
 };
-use capsim_policy::CapPolicy;
+use capsim_policy::{CapPolicy, LadderCapPolicy};
 use rayon::prelude::*;
 
 use crate::manager::{CapPushOutcome, Dcm, NodeHealth, NodeId};
 use crate::monitor::{read_sel_via, violation_count};
-use crate::policy::AllocationPolicy;
 
 /// Bucket upper edges (watts) for the per-node power histogram sampled at
 /// every barrier. Centered on the paper's 95–170 W measurement band.
@@ -117,11 +116,6 @@ impl Transact for PumpedLink<'_> {
         self.patience = factor.max(1);
     }
 }
-
-// Workload construction moved to capsim-node's `workload` module (so the
-// chaos and traffic layers can build workloads without depending on the
-// fleet engine); re-exported here to keep historical paths compiling.
-pub use capsim_node::workload::{LoadKind, SyntheticLoad, WorkloadSpec};
 
 struct SimNode {
     id: NodeId,
@@ -599,7 +593,6 @@ pub struct FleetBuilder {
     epochs: u32,
     epoch_s: f64,
     budget_w: Option<f64>,
-    policy: AllocationPolicy,
     faults: FaultSpec,
     seed: u64,
     parallel: bool,
@@ -615,7 +608,7 @@ pub struct FleetBuilder {
     violation_after: u32,
     breaker_trip_after: u32,
     breaker_cooldown: u32,
-    cap_policy: Option<Box<dyn CapPolicy>>,
+    cap_policy: Box<dyn CapPolicy>,
 }
 
 impl FleetBuilder {
@@ -634,7 +627,6 @@ impl FleetBuilder {
             epochs: 6,
             epoch_s: 5e-4,
             budget_w: None,
-            policy: AllocationPolicy::Uniform,
             faults: FaultSpec::none(),
             seed: 0,
             parallel: true,
@@ -650,7 +642,7 @@ impl FleetBuilder {
             violation_after: 3,
             breaker_trip_after: 2,
             breaker_cooldown: 2,
-            cap_policy: None,
+            cap_policy: Box::new(LadderCapPolicy::new()),
         }
     }
 
@@ -678,21 +670,13 @@ impl FleetBuilder {
         self
     }
 
-    /// Budget allocation policy.
-    pub fn policy(mut self, p: AllocationPolicy) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// Install a pluggable capping policy spanning both layers: every
-    /// node's BMC gets a per-node clone (reseeded from the fleet seed)
-    /// for its control loop, and the root plans group budgets through the
-    /// policy's group half instead of [`FleetBuilder::policy`].
-    ///
-    /// Without this call the fleet runs exactly as before the policy
-    /// layer existed (ladder walk + the configured `AllocationPolicy`).
+    /// Install a capping policy spanning both layers: every node's BMC
+    /// gets a per-node clone (reseeded from the fleet seed) for its
+    /// control loop, and the root plans group budgets through the
+    /// policy's group half. Default: [`LadderCapPolicy::new`], the ladder
+    /// walk with a uniform budget split.
     pub fn cap_policy(mut self, policy: Box<dyn CapPolicy>) -> Self {
-        self.cap_policy = Some(policy);
+        self.cap_policy = policy;
         self
     }
 
@@ -765,28 +749,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Give every node the same workload kind instead of the default
-    /// round-robin Compute/Stream/Mixed assignment. Shorthand for
-    /// [`FleetBuilder::workload`] with [`WorkloadSpec::Uniform`].
-    pub fn uniform_load(self, kind: LoadKind) -> Self {
-        self.workload(WorkloadSpec::Uniform(kind))
-    }
-
-    /// Assign loads with [`LoadKind::datacenter_for_index`] — a mostly
-    /// idle, bursty utilization profile — instead of the round-robin
-    /// busy default. Ignored when an explicit workload
-    /// ([`FleetBuilder::uniform_load`] / [`FleetBuilder::workload`]) is
-    /// already set; `datacenter_mix(false)` restores the round-robin
-    /// default.
-    pub fn datacenter_mix(mut self, on: bool) -> Self {
-        self.workload = match (on, &self.workload) {
-            (true, WorkloadSpec::RoundRobin) => WorkloadSpec::DatacenterMix,
-            (false, WorkloadSpec::DatacenterMix) => WorkloadSpec::RoundRobin,
-            _ => return self,
-        };
-        self
-    }
-
     /// Number of group-manager shards (clamped to `1..=nodes` at build).
     /// Any value produces byte-identical results; this knob only decides
     /// how wire work is split across workers. Default: automatic —
@@ -845,13 +807,11 @@ impl FleetBuilder {
                 machine.enable_obs(cap);
             }
             machine.attach_bmc_port(bmc_port);
-            if let Some(policy) = &self.cap_policy {
-                // Per-node instance with its own random stream, derived
-                // from the node seed so replays stay byte-identical.
-                let mut p = policy.clone_box();
-                p.reseed(mix(node_seed, 0xca9_0110));
-                machine.set_cap_policy(p);
-            }
+            // Per-node instance with its own random stream, derived from
+            // the node seed so replays stay byte-identical.
+            let mut policy = self.cap_policy.clone_box();
+            policy.reseed(mix(node_seed, 0xca9_0110));
+            machine.set_cap_policy(policy);
             // Per-node workload seed, distinct from the fault and policy
             // streams so custom generators can't alias either.
             let load = self.workload.build_for(&mut machine, i, mix(node_seed, 0x10ad_5eed));
@@ -889,7 +849,6 @@ impl FleetBuilder {
             epochs: self.epochs,
             epoch_s: self.epoch_s,
             budget_w,
-            policy: self.policy,
             cap_policy: self.cap_policy,
             parallel: self.parallel,
             polls_per_attempt: self.polls_per_attempt,
@@ -927,8 +886,7 @@ pub struct Fleet {
     epochs: u32,
     epoch_s: f64,
     budget_w: f64,
-    policy: AllocationPolicy,
-    cap_policy: Option<Box<dyn CapPolicy>>,
+    cap_policy: Box<dyn CapPolicy>,
     parallel: bool,
     polls_per_attempt: u32,
     audit_sel: bool,
@@ -1192,43 +1150,40 @@ impl Fleet {
         // Reallocate and plan the pushes. A push is elided when the last
         // push fully succeeded (Set *and* Activate) and landed exactly
         // this cap — then the BMC is provably already enforcing it.
-        let caps = match &self.cap_policy {
-            Some(p) => {
-                // Tail-aware policies (and only those) get the per-node
-                // p99 completion latency alongside demand; latency-blind
-                // backends never touch observability state, so their
-                // plans stay byte-identical with obs on or off.
-                let tails: Vec<f64> = if p.wants_tail() {
-                    demand
-                        .iter()
-                        .map(|&(id, _)| {
-                            self.nodes[id.index()]
-                                .machine
-                                .obs()
-                                .metrics
-                                .hist_quantile(traffic_keys::LATENCY_MS, 0.99)
-                                .unwrap_or(0.0)
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let caps = self.dcm.plan_with(self.budget_w, p.as_ref(), &demand, &tails);
-                if self.observe {
-                    self.dcm.obs.events.record(
-                        barrier_t_s,
-                        EventKind::PolicyPlan {
-                            policy: p.name(),
-                            epoch,
-                            answered: demand.len() as u32,
-                            granted_w: caps.iter().map(|&(_, c)| c).sum(),
-                        },
-                    );
-                }
-                caps
-            }
-            None => self.dcm.plan_allocation(self.budget_w, &self.policy, &demand),
+        let p = self.cap_policy.as_ref();
+        // Tail-aware policies (and only those) get the per-node p99
+        // completion latency alongside demand; latency-blind backends
+        // never touch observability state, so their plans stay
+        // byte-identical with obs on or off.
+        let tails: Vec<f64> = if p.wants_tail() {
+            demand
+                .iter()
+                .map(|&(id, _)| {
+                    self.nodes[id.index()]
+                        .machine
+                        .obs()
+                        .metrics
+                        .hist_quantile(traffic_keys::LATENCY_MS, 0.99)
+                        .unwrap_or(0.0)
+                })
+                .collect()
+        } else {
+            Vec::new()
         };
+        let caps = self.dcm.plan_with(self.budget_w, p, &demand, &tails);
+        // Plans are announced only for non-default backends, so the
+        // default ladder's event stream carries no plan records.
+        if self.observe && !p.as_any().is::<LadderCapPolicy>() {
+            self.dcm.obs.events.record(
+                barrier_t_s,
+                EventKind::PolicyPlan {
+                    policy: p.name(),
+                    epoch,
+                    answered: demand.len() as u32,
+                    granted_w: caps.iter().map(|&(_, c)| c).sum(),
+                },
+            );
+        }
         self.ctrl.planned.fill(None);
         let mut pushes_skipped = 0u64;
         for &(id, cap) in &caps {
@@ -1659,7 +1614,7 @@ mod tests {
                 .nodes(8)
                 .epochs(6)
                 .seed(7)
-                .datacenter_mix(true)
+                .workload(WorkloadSpec::DatacenterMix)
                 .observe(observe)
                 .build()
                 .run()

@@ -7,24 +7,23 @@
 //!
 //! The manager here does exactly that: it holds a [`capsim_ipmi::ManagerPort`] to each
 //! node's BMC, polls DCMI power readings, and divides a **group power
-//! budget** across nodes according to an [`AllocationPolicy`], pushing the
-//! resulting per-node caps with DCMI *Set Power Limit* + *Activate*. The
-//! paper's single-node study is the degenerate one-node group; the
-//! `datacenter` example exercises the full fan-out.
+//! budget** across nodes through the group half of a
+//! [`capsim_policy::CapPolicy`] (by default the ladder backend's uniform
+//! split), pushing the resulting per-node caps with DCMI *Set Power
+//! Limit* + *Activate*. The paper's single-node study is the degenerate
+//! one-node group; the `datacenter` example exercises the full fan-out.
 
 pub mod error;
 pub mod fleet;
 pub mod manager;
 pub mod monitor;
-pub mod policy;
 pub mod train;
 
 pub use error::DcmError;
 pub use fleet::{
-    BreakerState, EnergySummary, EpochRecord, Fleet, FleetBuilder, FleetReport, LoadKind,
-    NodeSummary, PriorityTraffic, PumpedLink, TrafficSummary, WorkloadSpec,
+    BreakerState, EnergySummary, EpochRecord, Fleet, FleetBuilder, FleetReport, NodeSummary,
+    PriorityTraffic, PumpedLink, TrafficSummary,
 };
 pub use manager::{CapPushOutcome, Dcm, NodeHealth, NodeId};
 pub use monitor::{read_sel, read_sel_via, violation_count, FleetMonitor, PowerHistory};
-pub use policy::AllocationPolicy;
 pub use train::{train_rl, EpisodeScore, RlTrainConfig, RlTrainReport};

@@ -9,7 +9,7 @@
 //! control barrier via the `*_via` methods).
 //!
 //! Every transaction runs under the manager's [`RetryPolicy`]; outcomes
-//! feed per-node [`NodeHealth`], and [`Dcm::plan_allocation`] divides the
+//! feed per-node [`NodeHealth`], and [`Dcm::plan_with`] divides the
 //! group budget over *responsive* nodes only — an unresponsive node's
 //! share is reallocated to its healthy peers (degraded-mode operation)
 //! rather than stranded on a node that cannot hear its cap anyway.
@@ -25,7 +25,6 @@ use capsim_ipmi::{
 use capsim_obs::{EventKind, Obs};
 
 use crate::error::DcmError;
-use crate::policy::{allocate, AllocationPolicy};
 use capsim_policy::{CapPolicy, GroupDemand};
 
 fn health_label(h: NodeHealth) -> &'static str {
@@ -578,43 +577,19 @@ impl Dcm {
     // ------------------------------------------------------- group budgeting
 
     /// Divide `budget_w` over the nodes in `demand` (pairs of handle and
-    /// measured power) per `policy`. Pure planning — no wire traffic.
+    /// measured power) through `policy`'s group-level half. Pure planning
+    /// — no wire traffic.
     ///
     /// Degraded-mode reallocation falls out of the input: callers pass
     /// demand readings only for nodes that answered, so an unresponsive
-    /// node's share flows to its responsive peers automatically.
-    pub fn plan_allocation(
-        &self,
-        budget_w: f64,
-        policy: &AllocationPolicy,
-        demand: &[(NodeId, f64)],
-    ) -> Vec<(NodeId, f64)> {
-        let demand_w: Vec<f64> = demand.iter().map(|&(_, w)| w).collect();
-        let policy = match policy {
-            // Priority vectors are fleet-wide; project onto the answering
-            // subset so the allocator sees one priority per node. Nodes
-            // past the end of the table rank last — a table that lags a
-            // node join degrades instead of panicking.
-            AllocationPolicy::Priority(p) => AllocationPolicy::Priority(
-                demand
-                    .iter()
-                    .map(|&(id, _)| p.get(id.index()).copied().unwrap_or(u8::MAX))
-                    .collect(),
-            ),
-            other => other.clone(),
-        };
-        let caps = allocate(&policy, budget_w, &demand_w, self.floor_w);
-        demand.iter().map(|&(id, _)| id).zip(caps).collect()
-    }
-
-    /// Like [`Dcm::plan_allocation`], but through a pluggable
-    /// [`CapPolicy`]'s group-level half. The policy sees fleet-wide node
-    /// indices alongside the demand, so identity-keyed schemes project
-    /// correctly onto a partial answering set. `tails` carries the
-    /// per-node p99 completion latency aligned with `demand` — callers
-    /// pass an empty slice (or zeros) unless the policy asked for tails
-    /// via [`CapPolicy::wants_tail`], so latency-blind backends never see
-    /// (or depend on) observability state.
+    /// node's share flows to its responsive peers automatically. The
+    /// policy sees fleet-wide node indices alongside the demand, so
+    /// identity-keyed schemes project correctly onto a partial answering
+    /// set. `tails` carries the per-node p99 completion latency aligned
+    /// with `demand` — callers pass an empty slice (or zeros) unless the
+    /// policy asked for tails via [`CapPolicy::wants_tail`], so
+    /// latency-blind backends never see (or depend on) observability
+    /// state.
     pub fn plan_with(
         &self,
         budget_w: f64,
@@ -643,7 +618,7 @@ impl Dcm {
     pub fn apply_group_budget(
         &mut self,
         budget_w: f64,
-        policy: &AllocationPolicy,
+        policy: &dyn CapPolicy,
     ) -> Result<Vec<(NodeId, f64)>, DcmError> {
         let mut demand = Vec::with_capacity(self.nodes.len());
         for node in self.node_ids() {
@@ -657,7 +632,7 @@ impl Dcm {
                 Err(e) => return Err(e),
             }
         }
-        let caps = self.plan_allocation(budget_w, policy, &demand);
+        let caps = self.plan_with(budget_w, policy, &demand, &[]);
         let mut pushed = Vec::with_capacity(caps.len());
         for (node, cap) in caps {
             match self.cap_node(node, cap) {
@@ -685,6 +660,7 @@ mod tests {
     use capsim_mem::MemReconfig;
     use capsim_node::bmc::{Bmc, BmcTelemetry};
     use capsim_node::ThrottleLadder;
+    use capsim_policy::{AllocationPolicy, LadderCapPolicy};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -729,7 +705,8 @@ mod tests {
         }
         let r0 = dcm.read_power(ids[0]).unwrap();
         assert_eq!(r0.current_w, 150);
-        let caps = dcm.apply_group_budget(300.0, &AllocationPolicy::ProportionalToDemand).unwrap();
+        let policy = LadderCapPolicy::with_group(AllocationPolicy::ProportionalToDemand);
+        let caps = dcm.apply_group_budget(300.0, &policy).unwrap();
         assert_eq!(caps.len(), 2);
         assert!(caps[0].1 > caps[1].1);
         // The cap is stored and active on the node, and remembered.
@@ -796,14 +773,13 @@ mod tests {
     }
 
     #[test]
-    fn plan_allocation_reallocates_around_missing_nodes() {
+    fn plan_with_reallocates_around_missing_nodes() {
         let mut dcm = Dcm::new();
         let a = dcm.register("a");
         let b = dcm.register("b");
         let c = dcm.register("c");
         // Node b did not answer this round: its share flows to a and c.
-        let caps =
-            dcm.plan_allocation(400.0, &AllocationPolicy::Uniform, &[(a, 150.0), (c, 150.0)]);
+        let caps = dcm.plan_with(400.0, &LadderCapPolicy::new(), &[(a, 150.0), (c, 150.0)], &[]);
         assert_eq!(caps.len(), 2);
         assert_eq!(caps[0], (a, 200.0));
         assert_eq!(caps[1], (c, 200.0));
@@ -811,18 +787,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_allocation_projects_priorities_onto_answering_nodes() {
+    fn plan_with_projects_priorities_onto_answering_nodes() {
         let mut dcm = Dcm::new();
         let a = dcm.register("a");
         let b = dcm.register("b");
         let c = dcm.register("c");
         let _ = a;
         // Only b (priority 0) and c (priority 2) answered.
-        let caps = dcm.plan_allocation(
-            400.0,
-            &AllocationPolicy::Priority(vec![1, 0, 2]),
-            &[(b, 155.0), (c, 155.0)],
-        );
+        let policy = LadderCapPolicy::with_group(AllocationPolicy::Priority(vec![1, 0, 2]));
+        let caps = dcm.plan_with(400.0, &policy, &[(b, 155.0), (c, 155.0)], &[]);
         let cap_b = caps.iter().find(|&&(id, _)| id == b).unwrap().1;
         let cap_c = caps.iter().find(|&&(id, _)| id == c).unwrap().1;
         assert!(cap_b > cap_c, "higher priority gets more: {cap_b} vs {cap_c}");

@@ -15,9 +15,10 @@
 //! yields the same [`RlTrainReport::q_digest`] — asserted in tests and by
 //! the policy bench.
 
+use capsim_node::workload::{LoadKind, WorkloadSpec};
 use capsim_policy::{splitmix64, QTable, RlCapPolicy, RlConfig};
 
-use crate::fleet::{FleetBuilder, FleetReport, LoadKind};
+use crate::fleet::{FleetBuilder, FleetReport};
 
 /// Everything a training run depends on. Two equal configs train
 /// byte-identical tables.
@@ -132,7 +133,7 @@ pub fn train_rl(cfg: &RlTrainConfig) -> RlTrainReport {
             .seed(splitmix64(cfg.seed, 0x5eed_0000 + u64::from(e)))
             .cap_policy(Box::new(RlCapPolicy::learner(q.clone(), cfg.rl)));
         if let Some(kind) = cfg.load {
-            b = b.uniform_load(kind);
+            b = b.workload(WorkloadSpec::Uniform(kind));
         }
         let mut fleet = b.build();
         for _ in 0..cfg.epochs {

@@ -1,8 +1,9 @@
 //! Snapshot counters for the whole hierarchy.
 //!
 //! [`MemStats`] is a plain value: subtract two snapshots to get the event
-//! counts in a window. These are the raw events the `capsim-counters` PAPI
-//! facade exposes and the columns of the paper's Table II.
+//! counts in a window (`Machine::mem_stats_now` before and after a code
+//! region, as the paper did with PAPI). These are the memory-side columns
+//! of the paper's Table II.
 
 use std::ops::Sub;
 

@@ -81,7 +81,8 @@ pub enum EventKind {
     /// Cap-violation episode ended (sustained readings back under cap).
     CapViolationEnded { cap_w: f64 },
     /// A pluggable `CapPolicy` planned the group budget at a barrier
-    /// (recorded only when a non-default policy backend is installed).
+    /// (recorded only when a non-default policy backend is installed:
+    /// any backend but the ladder).
     PolicyPlan { policy: &'static str, epoch: u32, answered: u32, granted_w: f64 },
     /// Cross-node failover at a fleet barrier: requests shed at full
     /// queues were re-offered to the least-loaded nodes in the group.

@@ -47,9 +47,8 @@ fn main() {
     println!("initial demand: {readings:?} W");
 
     let budget = 390.0;
-    let caps = dcm
-        .apply_group_budget(budget, &AllocationPolicy::ProportionalToDemand)
-        .expect("nodes reachable over IPMI");
+    let policy = LadderCapPolicy::with_group(AllocationPolicy::ProportionalToDemand);
+    let caps = dcm.apply_group_budget(budget, &policy).expect("nodes reachable over IPMI");
     println!("group budget {budget} W -> caps:");
     for &(id, cap_w) in &caps {
         let limit = dcm.node_limit(id).expect("limit stored");

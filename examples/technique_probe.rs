@@ -1,12 +1,11 @@
 //! Future-work demo: answer the paper's open question — *which* power-
 //! management techniques is the firmware using right now? — with
-//! user-level microbenchmarks plus PAPI-style counters.
+//! user-level microbenchmarks plus the machine's hardware counters.
 //!
 //! ```sh
 //! cargo run --example technique_probe --release
 //! ```
 
-use capsim::counters::{Event, EventSet};
 use capsim::prelude::*;
 use capsim::study::TechniqueDetector;
 
@@ -28,27 +27,23 @@ fn main() {
         }
 
         // Drive the BMC to equilibrium with representative work, counting
-        // it with the PAPI-style event set as the paper did.
-        let mut set = EventSet::new();
-        set.add(Event::TotIns).unwrap();
-        set.add(Event::TotCyc).unwrap();
-        set.add(Event::L2Tcm).unwrap();
-        set.add(Event::TlbIm).unwrap();
-        set.start(&m).unwrap();
+        // it around the code region as the paper did with PAPI.
+        let (core0, mem0) = (m.counters_now(), m.mem_stats_now());
         let block = m.code_block(96, 24);
         let buf = m.alloc(8 << 20);
         for i in 0..400_000u64 {
             m.exec_block(&block);
             m.load(buf.at((i * 64) % (8 << 20)));
         }
-        let counts = set.stop(&m).unwrap();
+        let core = m.counters_now().since(&core0);
+        let mem = m.mem_stats_now() - mem0;
 
         let detected = TechniqueDetector::default().probe(&mut m);
         let cap_str = cap.map_or("none".to_string(), |c| format!("{c:.0} W"));
         println!("== cap: {cap_str} ==");
         println!(
             "  warmup counters: {} instr, {} cycles, {} L2 misses, {} iTLB misses",
-            counts[0], counts[1], counts[2], counts[3]
+            core.instructions_committed, core.unhalted_cycles, mem.l2_misses, mem.itlb_misses
         );
         println!(
             "  estimated freq {:.0} MHz, duty {:.2}, L2 {:.1} cyc, DRAM {:.0} ns",

@@ -24,7 +24,6 @@
 pub use capsim_apps as apps;
 pub use capsim_chaos as chaos;
 pub use capsim_core as study;
-pub use capsim_counters as counters;
 pub use capsim_cpu as cpu;
 pub use capsim_dcm as dcm;
 pub use capsim_ipmi as ipmi;
@@ -46,16 +45,16 @@ pub mod prelude {
     pub use capsim_chaos::{ChaosScenario, FaultKind, FaultPlan, InvariantConfig, SoakConfig};
     pub use capsim_core::{CapSweep, ExperimentConfig, RunMetrics};
     pub use capsim_dcm::{
-        train_rl, AllocationPolicy, Dcm, Fleet, FleetBuilder, FleetReport, NodeHealth, NodeId,
-        RlTrainConfig, RlTrainReport,
+        train_rl, Dcm, Fleet, FleetBuilder, FleetReport, NodeHealth, NodeId, RlTrainConfig,
+        RlTrainReport,
     };
     pub use capsim_ipmi::{FaultSpec, RetryPolicy, Transact};
     pub use capsim_mem::{HierarchyConfig, MemReconfig};
     pub use capsim_node::{Machine, MachineBuilder, MachineConfig, PowerCap};
     pub use capsim_obs::{Event, EventKind, EventLog, Metrics, MetricsSnapshot, Obs};
     pub use capsim_policy::{
-        CapDecision, CapPolicy, CapPolicySpec, GovernorCapPolicy, GovernorConfig, LadderCapPolicy,
-        NodeCapView, QTable, RlCapPolicy, RlConfig,
+        AllocationPolicy, CapDecision, CapPolicy, CapPolicySpec, GovernorCapPolicy, GovernorConfig,
+        LadderCapPolicy, NodeCapView, QTable, RlCapPolicy, RlConfig,
     };
     pub use capsim_traffic::{
         AimdSpec, ArrivalCurve, BrownoutSpec, ClientSpec, EmergencyConfig, InvalidClientSpec,

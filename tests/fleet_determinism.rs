@@ -22,7 +22,7 @@ fn build_sharded(
         .nodes(16)
         .epochs(5)
         .budget_w(16.0 * 132.0)
-        .policy(AllocationPolicy::ProportionalToDemand)
+        .cap_policy(Box::new(LadderCapPolicy::with_group(AllocationPolicy::ProportionalToDemand)))
         .faults(faults)
         .dead_node(11)
         .seed(seed)
@@ -202,7 +202,7 @@ fn policies_are_deterministic_too() {
         let serial = FleetBuilder::new()
             .nodes(16)
             .epochs(3)
-            .policy(policy.clone())
+            .cap_policy(Box::new(LadderCapPolicy::with_group(policy.clone())))
             .seed(5)
             .parallel(false)
             .build()
@@ -210,7 +210,7 @@ fn policies_are_deterministic_too() {
         let parallel = FleetBuilder::new()
             .nodes(16)
             .epochs(3)
-            .policy(policy)
+            .cap_policy(Box::new(LadderCapPolicy::with_group(policy)))
             .seed(5)
             .parallel(true)
             .build()

@@ -3,7 +3,7 @@
 
 use capsim::apps::kernels::AluBurst;
 use capsim::apps::Workload;
-use capsim::dcm::{AllocationPolicy, Dcm, NodeId};
+use capsim::dcm::{Dcm, NodeId};
 use capsim::ipmi::LanChannel;
 use capsim::node::MachineBuilder;
 use capsim::prelude::*;
@@ -67,7 +67,7 @@ fn group_budget_throttles_every_node_in_the_rack() {
         }
     }
     let caps =
-        dcm.apply_group_budget(3.0 * 135.0, &AllocationPolicy::Uniform).expect("budget applied");
+        dcm.apply_group_budget(3.0 * 135.0, &LadderCapPolicy::new()).expect("budget applied");
     let expected: Vec<(NodeId, f64)> = ids.iter().map(|&id| (id, 135.0)).collect();
     assert_eq!(caps, expected);
     for t in threads {
