@@ -11,6 +11,17 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, benches, tests; warnings are errors)"
 cargo clippy --workspace --benches --tests -q -- -D warnings
 
+echo "== cargo check (capbench, tests included: the benchmark builds against the workspace API)"
+# capbench/Cargo.lock is stale and cargo rewrites it on an unlocked run;
+# restore the committed copy afterwards so the tree stays clean.
+lock_backup=$(mktemp)
+cp capbench/Cargo.lock "$lock_backup"
+status=0
+cargo check --offline --tests -q --manifest-path capbench/Cargo.toml || status=$?
+cp "$lock_backup" capbench/Cargo.lock
+rm -f "$lock_backup"
+[ "$status" -eq 0 ]
+
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 

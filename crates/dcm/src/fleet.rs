@@ -60,7 +60,7 @@ use capsim_policy::{CapPolicy, LadderCapPolicy};
 use rayon::prelude::*;
 
 use crate::manager::{CapPushOutcome, Dcm, NodeHealth, NodeId};
-use crate::monitor::{read_sel_via, violation_count};
+use crate::monitor::{read_sel, violation_count};
 
 /// Bucket upper edges (watts) for the per-node power histogram sampled at
 /// every barrier. Centered on the paper's 95–170 W measurement band.
@@ -99,11 +99,7 @@ impl Transact for PumpedLink<'_> {
         for _ in 0..budget {
             self.machine.service_bmc();
             match self.port.try_recv() {
-                Ok(Some(resp))
-                    if resp.seq == req.seq && resp.cmd == req.cmd && resp.netfn == req.netfn =>
-                {
-                    return Ok(resp)
-                }
+                Ok(Some(resp)) if resp.answers(req) => return Ok(resp),
                 Ok(Some(_)) => {} // stale response to an earlier attempt
                 Ok(None) => {}
                 Err(e) => return Err(e),
@@ -963,7 +959,7 @@ impl Fleet {
         let retry = self.dcm.retry;
         let n = &mut self.nodes[index];
         let mut link = PumpedLink::new(&mut n.port, &mut n.machine, self.polls_per_attempt);
-        read_sel_via(&mut link, &retry)
+        read_sel(&mut link, &retry)
     }
 
     /// Number of group-manager shards the fleet was built with.
@@ -1469,7 +1465,7 @@ impl Fleet {
             let stats: RunStats = n.machine.finish_run();
             let sel_violations = if audit {
                 let mut link = PumpedLink::new(&mut n.port, &mut n.machine, polls);
-                read_sel_via(&mut link, &retry).map(|e| violation_count(&e)).unwrap_or(0)
+                read_sel(&mut link, &retry).map(|e| violation_count(&e)).unwrap_or(0)
             } else {
                 0
             };

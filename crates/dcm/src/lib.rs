@@ -5,9 +5,10 @@
 //! center … DCM power capping services focus on controlling resource usage
 //! to safeguard against over utilization of constrained capacity."
 //!
-//! The manager here does exactly that: it holds a [`capsim_ipmi::ManagerPort`] to each
-//! node's BMC, polls DCMI power readings, and divides a **group power
-//! budget** across nodes through the group half of a
+//! The manager here does exactly that: over a caller-owned link to each
+//! node's BMC (a [`capsim_ipmi::Transact`], such as a
+//! [`capsim_ipmi::ManagerPort`]) it polls DCMI power readings and divides
+//! a **group power budget** across nodes through the group half of a
 //! [`capsim_policy::CapPolicy`] (by default the ladder backend's uniform
 //! split), pushing the resulting per-node caps with DCMI *Set Power
 //! Limit* + *Activate*. The paper's single-node study is the degenerate
@@ -25,5 +26,5 @@ pub use fleet::{
     PriorityTraffic, PumpedLink, TrafficSummary,
 };
 pub use manager::{CapPushOutcome, Dcm, NodeHealth, NodeId};
-pub use monitor::{read_sel, read_sel_via, violation_count, FleetMonitor, PowerHistory};
+pub use monitor::{read_sel, violation_count, FleetMonitor, PowerHistory};
 pub use train::{train_rl, EpisodeScore, RlTrainConfig, RlTrainReport};

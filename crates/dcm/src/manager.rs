@@ -1,26 +1,29 @@
 //! The manager itself: per-node DCMI transactions, health tracking and
 //! group budgeting.
 //!
-//! Nodes are addressed by opaque [`NodeId`] handles. A node may be
-//! registered *with* an owned transport ([`Dcm::register_link`] — the
-//! live-threaded topology where each BMC runs on its own thread) or
-//! *without* one ([`Dcm::register`] — the lock-step fleet engine, which
-//! owns the machines and supplies a pumped [`Transact`] link at each
-//! control barrier via the `*_via` methods).
+//! Nodes are addressed by opaque [`NodeId`] handles from
+//! [`Dcm::register`]. The manager is bookkeeping only — health, last
+//! caps, telemetry and planning — and owns no transport: the caller owns
+//! each node's link and passes it to every operation as a
+//! `&mut dyn Transact` (a [`capsim_ipmi::ManagerPort`] to a BMC on its
+//! own thread, or the fleet engine's pumped lock-step link).
 //!
-//! Every transaction runs under the manager's [`RetryPolicy`]; outcomes
-//! feed per-node [`NodeHealth`], and [`Dcm::plan_with`] divides the
-//! group budget over *responsive* nodes only — an unresponsive node's
-//! share is reallocated to its healthy peers (degraded-mode operation)
-//! rather than stranded on a node that cannot hear its cap anyway.
+//! Every command takes one path: it is captured as a [`WireOutcome`]
+//! under the manager's [`RetryPolicy`] and then absorbed, which records
+//! its retry/timeout telemetry and updates per-node [`NodeHealth`]. The
+//! sharded fleet splits the two halves — capture on worker threads,
+//! absorb at the root — and the outcome is the same. [`Dcm::plan_with`]
+//! divides the group budget over *responsive* nodes only — an
+//! unresponsive node's share is reallocated to its healthy peers
+//! (degraded-mode operation) rather than stranded on a node that cannot
+//! hear its cap anyway.
 
 use capsim_ipmi::dcmi::{
     ActivatePowerLimit, ExceptionAction, GetPowerLimit, GetPowerReading, PowerLimit, PowerReading,
     SetPowerLimit,
 };
 use capsim_ipmi::{
-    transact_retry_observed, CompletionCode, IpmiError, Request, Response, RetryPolicy, Transact,
-    WireOutcome,
+    CompletionCode, IpmiError, Request, Response, RetryPolicy, Transact, WireOutcome,
 };
 use capsim_obs::{EventKind, Obs};
 
@@ -36,8 +39,8 @@ fn health_label(h: NodeHealth) -> &'static str {
 }
 
 /// Opaque handle to a node registered with a [`Dcm`]. Obtained from
-/// [`Dcm::register`]/[`Dcm::register_link`]; there is no public way to
-/// fabricate one from a raw index.
+/// [`Dcm::register`]; there is no public way to fabricate one from a raw
+/// index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(u32);
 
@@ -76,7 +79,6 @@ impl NodeHealth {
 
 struct NodeEntry {
     name: String,
-    link: Option<Box<dyn Transact + Send>>,
     health: NodeHealth,
     consecutive_failures: u32,
     last_cap_w: Option<f64>,
@@ -92,7 +94,7 @@ struct NodeEntry {
 /// A cap push as captured on a group manager's worker: the *Set Power
 /// Limit* outcome plus — only when the set came back with an OK
 /// completion — the *Activate Power Limit* outcome, mirroring the
-/// short-circuit in [`Dcm::cap_node_via`]. Absorbed at the root via
+/// short-circuit in [`Dcm::cap_node`]. Absorbed via
 /// [`Dcm::absorb_cap_push`].
 #[derive(Debug)]
 pub struct CapPushOutcome {
@@ -159,27 +161,11 @@ impl Dcm {
         self.obs_now_s = t_s;
     }
 
-    /// Register a node without an owned transport. Use the `*_via`
-    /// methods with a caller-supplied [`Transact`] link (the lock-step
-    /// fleet engine does this at every control barrier).
+    /// Register a node. The caller keeps the node's link and supplies it
+    /// to each operation.
     pub fn register(&mut self, name: impl Into<String>) -> NodeId {
-        self.push(name.into(), None)
-    }
-
-    /// Register a node with an owned transport (live topology: the BMC is
-    /// serviced elsewhere, e.g. on its own thread).
-    pub fn register_link(
-        &mut self,
-        name: impl Into<String>,
-        link: impl Transact + Send + 'static,
-    ) -> NodeId {
-        self.push(name.into(), Some(Box::new(link)))
-    }
-
-    fn push(&mut self, name: String, link: Option<Box<dyn Transact + Send>>) -> NodeId {
         self.nodes.push(NodeEntry {
-            name,
-            link,
+            name: name.into(),
             health: NodeHealth::Healthy,
             consecutive_failures: 0,
             last_cap_w: None,
@@ -312,109 +298,20 @@ impl Dcm {
         DcmError::Ipmi { node, name: self.nodes[node.index()].name.clone(), source }
     }
 
-    /// Run one retried transaction against the node's *owned* link,
-    /// updating health from the outcome.
-    fn transact_owned(
-        &mut self,
-        node: NodeId,
-        build: &dyn Fn(u8) -> Request,
-    ) -> Result<Response, DcmError> {
-        self.entry(node)?;
-        let retry = self.retry;
-        let t_s = self.obs_now_s;
-        let e = &mut self.nodes[node.index()];
-        let link =
-            e.link.as_mut().ok_or_else(|| DcmError::Unlinked { node, name: e.name.clone() })?;
-        let out = transact_retry_observed(
-            link.as_mut(),
-            &retry,
-            build,
-            &mut self.obs,
-            t_s,
-            Some(node.index() as u32),
-        );
-        self.settle(node, out)
-    }
-
-    /// Run one retried transaction over a caller-supplied link, updating
-    /// health from the outcome.
-    fn transact_via(
-        &mut self,
-        node: NodeId,
-        link: &mut dyn Transact,
-        build: &dyn Fn(u8) -> Request,
-    ) -> Result<Response, DcmError> {
-        self.entry(node)?;
-        let retry = self.retry;
-        let t_s = self.obs_now_s;
-        let out = transact_retry_observed(
-            link,
-            &retry,
-            build,
-            &mut self.obs,
-            t_s,
-            Some(node.index() as u32),
-        );
-        self.settle(node, out)
-    }
-
-    fn settle(
-        &mut self,
-        node: NodeId,
-        out: Result<Response, IpmiError>,
-    ) -> Result<Response, DcmError> {
-        match out {
-            Ok(resp) => {
-                self.record_success(node);
-                Ok(resp)
-            }
-            Err(e) => {
-                self.record_failure(node);
-                Err(self.wrap_err(node, e))
-            }
-        }
-    }
-
-    /// Run a caller-defined command sequence over a node's owned link,
-    /// updating health from the outcome. The closure sees only the
-    /// narrow [`Transact`] interface, never the raw port — this is the
-    /// sanctioned replacement for the old `port_mut` escape hatch.
-    pub fn with_link<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut dyn Transact) -> Result<R, IpmiError>,
-    ) -> Result<R, DcmError> {
-        self.entry(node)?;
-        let e = &mut self.nodes[node.index()];
-        let link =
-            e.link.as_mut().ok_or_else(|| DcmError::Unlinked { node, name: e.name.clone() })?;
-        match f(link.as_mut()) {
-            Ok(r) => {
-                self.record_success(node);
-                Ok(r)
-            }
-            Err(err) => {
-                self.record_failure(node);
-                Err(self.wrap_err(node, err))
-            }
-        }
-    }
-
-    // ------------------------------------------------- deferred wire outcomes
+    // ------------------------------------------------------- wire outcomes
     //
-    // Sharded lock-step fleets split wire work across group managers: each
-    // group runs its shard's transactions on a worker (own link, own BMC,
-    // so outcomes cannot depend on the sharding), captures them as
-    // [`WireOutcome`]s, and the root absorbs them here serially in
-    // canonical node order. The absorb path replays exactly what running
-    // the transaction through the manager would have recorded — the same
-    // counters, events and health transitions in the same order — so the
-    // observability stream is byte-identical whether the fleet ran with
-    // one group or fifty.
+    // Every command is captured as a [`WireOutcome`] and absorbed here.
+    // The manager's own operations do both at once ([`Dcm::transact`]);
+    // sharded lock-step fleets capture their shard's transactions on a
+    // worker (own link, own BMC, so outcomes cannot depend on the
+    // sharding) and the root absorbs them serially in canonical node
+    // order — the same counters, events and health transitions in the
+    // same order — so the observability stream is byte-identical whether
+    // the fleet ran with one group or fifty.
 
-    /// Replay one captured outcome into observability and health
-    /// tracking, exactly as [`transact_retry_observed`] + settling would
-    /// have.
+    /// Record one captured outcome into observability and health
+    /// tracking. The only writer of the `ipmi.*` transaction counters and
+    /// the `Retry`/`Timeout` events.
     fn absorb(&mut self, node: NodeId, out: WireOutcome) -> Result<Response, DcmError> {
         self.entry(node)?;
         if self.obs.is_enabled() {
@@ -440,7 +337,16 @@ impl Dcm {
                 _ => {}
             }
         }
-        self.settle(node, out.result)
+        match out.result {
+            Ok(resp) => {
+                self.record_success(node);
+                Ok(resp)
+            }
+            Err(e) => {
+                self.record_failure(node);
+                Err(self.wrap_err(node, e))
+            }
+        }
     }
 
     /// Absorb a captured DCMI *Get Power Reading* poll.
@@ -454,8 +360,7 @@ impl Dcm {
     }
 
     /// Absorb a captured Set+Activate cap push (see [`CapPushOutcome`]).
-    /// On full success the cap is remembered and counted exactly as
-    /// [`Dcm::cap_node_via`] would have.
+    /// On full success the cap is remembered and counted.
     pub fn absorb_cap_push(
         &mut self,
         node: NodeId,
@@ -472,19 +377,27 @@ impl Dcm {
 
     // ---------------------------------------------------------- transactions
 
-    /// DCMI *Get Power Reading* from one node (owned link).
-    pub fn read_power(&mut self, node: NodeId) -> Result<PowerReading, DcmError> {
-        let resp = self.transact_owned(node, &|seq| GetPowerReading::request(seq))?;
-        self.decode_reading(node, resp)
+    /// Run one command for `node` over `link`: capture it under the
+    /// manager's retry policy, then absorb the outcome. An id this manager
+    /// did not issue is rejected before any frame is sent.
+    fn transact(
+        &mut self,
+        node: NodeId,
+        link: &mut dyn Transact,
+        build: &dyn Fn(u8) -> Request,
+    ) -> Result<Response, DcmError> {
+        self.entry(node)?;
+        let out = WireOutcome::capture(link, &self.retry, build);
+        self.absorb(node, out)
     }
 
-    /// DCMI *Get Power Reading* over a caller-supplied link.
-    pub fn read_power_via(
+    /// DCMI *Get Power Reading* from one node.
+    pub fn read_power(
         &mut self,
         node: NodeId,
         link: &mut dyn Transact,
     ) -> Result<PowerReading, DcmError> {
-        let resp = self.transact_via(node, link, &|seq| GetPowerReading::request(seq))?;
+        let resp = self.transact(node, link, &|seq| GetPowerReading::request(seq))?;
         self.decode_reading(node, resp)
     }
 
@@ -503,74 +416,34 @@ impl Dcm {
         }
     }
 
-    /// Set and activate a cap on one node (owned link).
-    pub fn cap_node(&mut self, node: NodeId, watts: f64) -> Result<(), DcmError> {
-        let limit = self.limit_for(watts);
-        self.transact_owned(node, &move |seq| SetPowerLimit(limit).request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.transact_owned(node, &|seq| ActivatePowerLimit { activate: true }.request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.nodes[node.index()].last_cap_w = Some(watts);
-        self.obs.metrics.inc("dcm.caps_pushed");
-        Ok(())
-    }
-
-    /// Set and activate a cap over a caller-supplied link.
-    pub fn cap_node_via(
+    /// Set and activate a cap on one node.
+    pub fn cap_node(
         &mut self,
         node: NodeId,
         link: &mut dyn Transact,
         watts: f64,
     ) -> Result<(), DcmError> {
-        let limit = self.limit_for(watts);
-        self.transact_via(node, link, &move |seq| SetPowerLimit(limit).request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.transact_via(node, link, &|seq| ActivatePowerLimit { activate: true }.request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.nodes[node.index()].last_cap_w = Some(watts);
-        self.obs.metrics.inc("dcm.caps_pushed");
-        Ok(())
+        self.entry(node)?;
+        let push = CapPushOutcome::capture(link, &self.retry, self.limit_for(watts));
+        self.absorb_cap_push(node, watts, push)
     }
 
-    /// Deactivate a node's cap (owned link).
-    pub fn uncap_node(&mut self, node: NodeId) -> Result<(), DcmError> {
-        self.transact_owned(node, &|seq| ActivatePowerLimit { activate: false }.request(seq))?
+    /// Deactivate a node's cap.
+    pub fn uncap_node(&mut self, node: NodeId, link: &mut dyn Transact) -> Result<(), DcmError> {
+        self.transact(node, link, &|seq| ActivatePowerLimit { activate: false }.request(seq))?
             .into_ok()
             .map_err(|e| self.wrap_err(node, e))?;
         self.nodes[node.index()].last_cap_w = None;
         Ok(())
     }
 
-    /// Deactivate a node's cap over a caller-supplied link.
-    pub fn uncap_node_via(
-        &mut self,
-        node: NodeId,
-        link: &mut dyn Transact,
-    ) -> Result<(), DcmError> {
-        self.transact_via(node, link, &|seq| ActivatePowerLimit { activate: false }.request(seq))?
-            .into_ok()
-            .map_err(|e| self.wrap_err(node, e))?;
-        self.nodes[node.index()].last_cap_w = None;
-        Ok(())
-    }
-
-    /// Read back the limit stored on a node (owned link).
-    pub fn node_limit(&mut self, node: NodeId) -> Result<PowerLimit, DcmError> {
-        let resp = self.transact_owned(node, &|seq| GetPowerLimit::request(seq))?;
-        resp.into_ok().and_then(|p| PowerLimit::decode(&p)).map_err(|e| self.wrap_err(node, e))
-    }
-
-    /// Read back the limit over a caller-supplied link.
-    pub fn node_limit_via(
+    /// Read back the limit stored on a node.
+    pub fn node_limit(
         &mut self,
         node: NodeId,
         link: &mut dyn Transact,
     ) -> Result<PowerLimit, DcmError> {
-        let resp = self.transact_via(node, link, &|seq| GetPowerLimit::request(seq))?;
+        let resp = self.transact(node, link, &|seq| GetPowerLimit::request(seq))?;
         resp.into_ok().and_then(|p| PowerLimit::decode(&p)).map_err(|e| self.wrap_err(node, e))
     }
 
@@ -610,22 +483,24 @@ impl Dcm {
         demand.iter().map(|&(id, _)| id).zip(caps).collect()
     }
 
-    /// One full budgeting round over owned links: read power from every
-    /// responsive node, reallocate `budget_w` over the nodes that
-    /// answered, and push the resulting caps. Per-node failures update
-    /// health and shrink the allocation set; they do not abort the round.
-    /// Returns the caps pushed.
-    pub fn apply_group_budget(
+    /// One full budgeting round: read power from every node, reallocate
+    /// `budget_w` over the nodes that answered, and push the resulting
+    /// caps. `links` holds one link per registered node, in registration
+    /// order. Per-node failures update health and shrink the allocation
+    /// set; they do not abort the round. Returns the caps pushed.
+    pub fn apply_group_budget<L: Transact>(
         &mut self,
         budget_w: f64,
         policy: &dyn CapPolicy,
+        links: &mut [L],
     ) -> Result<Vec<(NodeId, f64)>, DcmError> {
+        assert_eq!(links.len(), self.nodes.len(), "one link per registered node");
         let mut demand = Vec::with_capacity(self.nodes.len());
         for node in self.node_ids() {
             // Probe even unresponsive nodes (cheaply they may have come
             // back), but their failure must not burn the whole retry
             // budget every round.
-            match self.read_power(node) {
+            match self.read_power(node, &mut links[node.index()]) {
                 Ok(r) => demand.push((node, r.current_w as f64)),
                 Err(e) if e.is_transient() => {}
                 Err(DcmError::Ipmi { source: IpmiError::ChannelClosed, .. }) => {}
@@ -635,7 +510,7 @@ impl Dcm {
         let caps = self.plan_with(budget_w, policy, &demand, &[]);
         let mut pushed = Vec::with_capacity(caps.len());
         for (node, cap) in caps {
-            match self.cap_node(node, cap) {
+            match self.cap_node(node, &mut links[node.index()], cap) {
                 Ok(()) => pushed.push((node, cap)),
                 Err(e) if e.is_transient() => {}
                 Err(DcmError::Ipmi { source: IpmiError::ChannelClosed, .. }) => {}
@@ -698,19 +573,21 @@ mod tests {
         let mut dcm = Dcm::new();
         let mut handles = Vec::new();
         let mut ids = Vec::new();
+        let mut ports = Vec::new();
         for (i, w) in [150.0, 130.0].into_iter().enumerate() {
             let (mgr, bmc_port) = LanChannel::pair();
-            ids.push(dcm.register_link(format!("node{i}"), mgr));
+            ids.push(dcm.register(format!("node{i}")));
+            ports.push(mgr);
             handles.push(spawn_bmc(w, bmc_port, stop.clone()));
         }
-        let r0 = dcm.read_power(ids[0]).unwrap();
+        let r0 = dcm.read_power(ids[0], &mut ports[0]).unwrap();
         assert_eq!(r0.current_w, 150);
         let policy = LadderCapPolicy::with_group(AllocationPolicy::ProportionalToDemand);
-        let caps = dcm.apply_group_budget(300.0, &policy).unwrap();
+        let caps = dcm.apply_group_budget(300.0, &policy, &mut ports).unwrap();
         assert_eq!(caps.len(), 2);
         assert!(caps[0].1 > caps[1].1);
         // The cap is stored and active on the node, and remembered.
-        let limit = dcm.node_limit(ids[0]).unwrap();
+        let limit = dcm.node_limit(ids[0], &mut ports[0]).unwrap();
         assert_eq!(limit.limit_w, caps[0].1.round() as u16);
         assert_eq!(dcm.last_cap_w(ids[0]), Some(caps[0].1));
         assert_eq!(dcm.health(ids[0]), NodeHealth::Healthy);
@@ -724,12 +601,12 @@ mod tests {
     #[test]
     fn uncap_deactivates() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (mgr, bmc_port) = LanChannel::pair();
+        let (mut mgr, bmc_port) = LanChannel::pair();
         let mut dcm = Dcm::new();
-        let id = dcm.register_link("n", mgr);
+        let id = dcm.register("n");
         let h = spawn_bmc(150.0, bmc_port, stop.clone());
-        dcm.cap_node(id, 140.0).unwrap();
-        dcm.uncap_node(id).unwrap();
+        dcm.cap_node(id, &mut mgr, 140.0).unwrap();
+        dcm.uncap_node(id, &mut mgr).unwrap();
         assert_eq!(dcm.last_cap_w(id), None);
         stop.store(true, Ordering::Relaxed);
         let bmc = h.join().unwrap();
@@ -738,12 +615,12 @@ mod tests {
 
     #[test]
     fn dead_node_surfaces_channel_errors_with_identity() {
-        let (mgr, bmc_port) = LanChannel::pair();
+        let (mut mgr, bmc_port) = LanChannel::pair();
         drop(bmc_port);
         let mut dcm = Dcm::new();
-        let id = dcm.register_link("ghost", mgr);
-        let err = dcm.read_power(id).unwrap_err();
-        assert_eq!(err.node(), Some(id));
+        let id = dcm.register("ghost");
+        let err = dcm.read_power(id, &mut mgr).unwrap_err();
+        assert_eq!(err.node(), id);
         assert!(err.to_string().contains("ghost"));
     }
 
@@ -753,23 +630,13 @@ mod tests {
         dcm.retry = RetryPolicy::once();
         let (mut mgr, _dead) = LanChannel::faulty_pair(capsim_ipmi::FaultSpec::dead(), 1);
         mgr.set_timeout(std::time::Duration::from_millis(1));
-        let id = dcm.register_link("flaky", mgr);
-        assert!(dcm.read_power(id).is_err());
+        let id = dcm.register("flaky");
+        assert!(dcm.read_power(id, &mut mgr).is_err());
         assert_eq!(dcm.health(id), NodeHealth::Degraded { consecutive_failures: 1 });
-        assert!(dcm.read_power(id).is_err());
-        assert!(dcm.read_power(id).is_err());
+        assert!(dcm.read_power(id, &mut mgr).is_err());
+        assert!(dcm.read_power(id, &mut mgr).is_err());
         assert_eq!(dcm.health(id), NodeHealth::Unresponsive);
         assert!(dcm.responsive_nodes().is_empty());
-    }
-
-    #[test]
-    fn unlinked_node_requires_a_supplied_transport() {
-        let mut dcm = Dcm::new();
-        let id = dcm.register("lockstep-node");
-        match dcm.read_power(id) {
-            Err(DcmError::Unlinked { node, .. }) => assert_eq!(node, id),
-            other => panic!("expected Unlinked, got {other:?}"),
-        }
     }
 
     #[test]
@@ -804,16 +671,16 @@ mod tests {
     #[test]
     fn cap_violating_nodes_are_held_degraded_until_cleared() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (mgr, bmc_port) = LanChannel::pair();
+        let (mut mgr, bmc_port) = LanChannel::pair();
         let mut dcm = Dcm::new();
-        let id = dcm.register_link("violator", mgr);
+        let id = dcm.register("violator");
         let h = spawn_bmc(150.0, bmc_port, stop.clone());
 
         dcm.set_cap_violating(id, true);
         assert!(dcm.cap_violating(id));
         assert_eq!(dcm.health(id), NodeHealth::Degraded { consecutive_failures: 0 });
         // A successful transaction must NOT promote the node back.
-        dcm.read_power(id).unwrap();
+        dcm.read_power(id, &mut mgr).unwrap();
         assert_eq!(dcm.health(id), NodeHealth::Degraded { consecutive_failures: 0 });
         // Still responsive: a violating node keeps its budget share (it
         // needs the cap pushed at it, after all), it is just not Healthy.
@@ -822,7 +689,7 @@ mod tests {
         dcm.set_cap_violating(id, false);
         assert!(!dcm.cap_violating(id));
         assert_eq!(dcm.health(id), NodeHealth::Healthy);
-        dcm.read_power(id).unwrap();
+        dcm.read_power(id, &mut mgr).unwrap();
         assert_eq!(dcm.health(id), NodeHealth::Healthy);
 
         stop.store(true, Ordering::Relaxed);

@@ -7,18 +7,18 @@
 //! the SEL to audit how often caps were violated — the data-center-side
 //! view of the paper's "measured power above the cap" rows.
 //!
-//! All wire traffic goes through the narrow [`Transact`] interface (the
-//! audit runs identically over a live threaded link or the fleet engine's
-//! pumped lock-step link), with each command retried under a
-//! [`RetryPolicy`] so a dropped frame costs a retransmit, not a hole in
-//! the audit.
+//! The monitor holds no link: callers read power with
+//! [`Dcm::read_power`] and [`FleetMonitor::record`] the answers. The SEL
+//! audit goes through the narrow [`Transact`] interface (it runs
+//! identically over a live threaded link or the fleet engine's pumped
+//! lock-step link), with each command retried under a [`RetryPolicy`] so
+//! a dropped frame costs a retransmit, not a hole in the audit.
 
 use std::collections::VecDeque;
 
 use capsim_ipmi::sel::{get_sel_entry_request, get_sel_info_request, SelEntry};
-use capsim_ipmi::{transact_retry, IpmiError, RetryPolicy, SelEventType, Transact};
+use capsim_ipmi::{IpmiError, RetryPolicy, SelEventType, Transact, WireOutcome};
 
-use crate::error::DcmError;
 use crate::manager::{Dcm, NodeId};
 
 /// Bounded power history for one node.
@@ -78,12 +78,11 @@ impl PowerHistory {
 /// The monitoring layer over a [`Dcm`].
 pub struct FleetMonitor {
     histories: Vec<PowerHistory>,
-    window: usize,
 }
 
 impl FleetMonitor {
     pub fn new(nodes: usize, window: usize) -> Self {
-        FleetMonitor { histories: (0..nodes).map(|_| PowerHistory::new(window)).collect(), window }
+        FleetMonitor { histories: (0..nodes).map(|_| PowerHistory::new(window)).collect() }
     }
 
     /// Size the monitor to a manager's current registration set.
@@ -91,46 +90,7 @@ impl FleetMonitor {
         Self::new(dcm.len(), window)
     }
 
-    /// Poll every node once over its owned link, appending to its
-    /// history. Nodes that fail transiently are skipped this round (their
-    /// history simply doesn't grow); fatal errors abort. Returns how many
-    /// nodes answered.
-    ///
-    /// Nodes registered on the manager *after* this monitor was built get
-    /// fresh histories on first poll. A manager that somehow registers
-    /// fewer nodes than the monitor tracks is a typed error
-    /// ([`DcmError::MonitorShrunk`]) — indices would silently misattribute.
-    pub fn poll(&mut self, dcm: &mut Dcm) -> Result<usize, DcmError> {
-        if dcm.len() < self.histories.len() {
-            return Err(DcmError::MonitorShrunk {
-                monitored: self.histories.len(),
-                registered: dcm.len(),
-            });
-        }
-        while self.histories.len() < dcm.len() {
-            self.histories.push(PowerHistory::new(self.window));
-        }
-        let mut answered = 0;
-        for node in dcm.node_ids() {
-            match dcm.read_power(node) {
-                Ok(r) => {
-                    self.histories[node.index()].push(r.current_w as f64);
-                    answered += 1;
-                }
-                Err(e) if e.is_transient() => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(answered)
-    }
-
-    /// Number of nodes this monitor currently tracks.
-    pub fn tracked(&self) -> usize {
-        self.histories.len()
-    }
-
-    /// Record a reading obtained elsewhere (the fleet engine polls nodes
-    /// itself at each barrier and feeds the monitor).
+    /// Record a node's reading (typically from [`Dcm::read_power`]).
     pub fn record(&mut self, node: NodeId, watts: f64) {
         self.histories[node.index()].push(watts);
     }
@@ -152,12 +112,10 @@ impl FleetMonitor {
 
 /// Read a node's full SEL through any [`Transact`] link, retrying each
 /// command under `retry` (a dropped or corrupted frame costs a
-/// retransmit, not an audit hole).
-pub fn read_sel_via(
-    link: &mut dyn Transact,
-    retry: &RetryPolicy,
-) -> Result<Vec<SelEntry>, IpmiError> {
-    let info = transact_retry(link, retry, &|seq| get_sel_info_request(seq))?.into_ok()?;
+/// retransmit, not an audit hole). Health is not updated: the audit is a
+/// read-only walk, not a management transaction.
+pub fn read_sel(link: &mut dyn Transact, retry: &RetryPolicy) -> Result<Vec<SelEntry>, IpmiError> {
+    let info = WireOutcome::capture(link, retry, &get_sel_info_request).result?.into_ok()?;
     if info.len() != 2 {
         return Err(IpmiError::Malformed("sel info"));
     }
@@ -169,7 +127,9 @@ pub fn read_sel_via(
     // Entry ids are monotonic from the newest backwards; ask for the
     // latest first to learn the current id, then walk down.
     let latest = SelEntry::decode(
-        &transact_retry(link, retry, &|seq| get_sel_entry_request(seq, 0xffff))?.into_ok()?,
+        &WireOutcome::capture(link, retry, &|seq| get_sel_entry_request(seq, 0xffff))
+            .result?
+            .into_ok()?,
     )?;
     // Walk only as far below the anchor as the reported `count` requires,
     // plus a small slack: the SEL may grow between the info and anchor
@@ -192,7 +152,8 @@ pub fn read_sel_via(
     let mut id = latest.id.wrapping_sub(span - 1);
     loop {
         if id != 0xffff {
-            let resp = transact_retry(link, retry, &|seq| get_sel_entry_request(seq, id))?;
+            let resp =
+                WireOutcome::capture(link, retry, &|seq| get_sel_entry_request(seq, id)).result?;
             if let Ok(payload) = resp.into_ok() {
                 out.push(SelEntry::decode(&payload)?);
             }
@@ -203,12 +164,6 @@ pub fn read_sel_via(
         id = id.wrapping_add(1);
     }
     Ok(out)
-}
-
-/// Read a node's full SEL over its owned link, updating node health.
-pub fn read_sel(dcm: &mut Dcm, node: NodeId) -> Result<Vec<SelEntry>, DcmError> {
-    let retry = dcm.retry;
-    dcm.with_link(node, |link| read_sel_via(link, &retry))
 }
 
 /// Count cap violations recorded in a SEL slice.
@@ -255,35 +210,6 @@ mod tests {
         assert_eq!(m.hotspots(160.0), Vec::<NodeId>::new());
     }
 
-    #[test]
-    fn poll_adopts_nodes_registered_after_the_monitor_was_built() {
-        let mut dcm = Dcm::new();
-        dcm.register("n0");
-        let mut m = FleetMonitor::for_dcm(&dcm, 4);
-        assert_eq!(m.tracked(), 1);
-        dcm.register("n1");
-        dcm.register("n2");
-        // The late registrations get fresh histories instead of the old
-        // assert_eq! panic. The poll itself then fails on the first node
-        // (nothing here owns a link), which is a typed, non-panicking
-        // error — the resize has already happened.
-        let err = m.poll(&mut dcm).expect_err("unlinked nodes cannot answer");
-        assert!(matches!(err, DcmError::Unlinked { .. }), "{err}");
-        assert_eq!(m.tracked(), 3);
-    }
-
-    #[test]
-    fn poll_refuses_a_shrunken_manager_with_a_typed_error() {
-        let mut dcm = Dcm::new();
-        dcm.register("n0");
-        dcm.register("n1");
-        let mut m = FleetMonitor::new(5, 4);
-        let err = m.poll(&mut dcm).expect_err("shrink must be rejected");
-        assert_eq!(err, DcmError::MonitorShrunk { monitored: 5, registered: 2 });
-        assert_eq!(err.node(), None);
-        assert!(!err.is_transient());
-    }
-
     /// Minimal in-memory SEL server mirroring the BMC's GET_SEL_INFO /
     /// GET_SEL_ENTRY handler, so the audit path can be exercised against a
     /// log in any state without spinning up a whole machine.
@@ -328,7 +254,7 @@ mod tests {
         }
         let expect: Vec<SelEntry> = sel.iter().cloned().collect();
         let mut link = SelServer { sel, seq: 0 };
-        let got = read_sel_via(&mut link, &RetryPolicy::default()).unwrap();
+        let got = read_sel(&mut link, &RetryPolicy::default()).unwrap();
         assert_eq!(got, expect);
     }
 
@@ -351,7 +277,7 @@ mod tests {
             "retained ids should straddle the wrap for this test to bite"
         );
         let mut link = SelServer { sel, seq: 0 };
-        let got = read_sel_via(&mut link, &RetryPolicy::default()).unwrap();
+        let got = read_sel(&mut link, &RetryPolicy::default()).unwrap();
         assert_eq!(got.len(), expect.len(), "audit must cover the full ring across the wrap");
         assert_eq!(got, expect);
     }

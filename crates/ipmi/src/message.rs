@@ -233,6 +233,14 @@ impl Response {
         })
     }
 
+    /// True when this is the answer to `req`: sequence number, NetFn *and*
+    /// command all match. A late response to an earlier request — even one
+    /// whose 8-bit sequence number has wrapped onto `req.seq` — fails the
+    /// match and must be discarded.
+    pub fn answers(&self, req: &Request) -> bool {
+        self.seq == req.seq && self.cmd == req.cmd && self.netfn == req.netfn
+    }
+
     /// Return the payload if the completion code is OK, else an error.
     pub fn into_ok(self) -> Result<Bytes, IpmiError> {
         if self.completion == CompletionCode::Ok {
@@ -262,6 +270,16 @@ mod tests {
         assert_eq!(d.completion, CompletionCode::InvalidCommand);
         assert_eq!(d.seq, 3);
         assert!(d.into_ok().is_err());
+    }
+
+    #[test]
+    fn a_response_answers_only_its_own_request() {
+        let req = Request::new(NetFn::GroupExt, 0x02, 9, Bytes::new());
+        let resp = Response::ok(&req, Bytes::new());
+        assert!(resp.answers(&req));
+        assert!(!Response { seq: 10, ..resp.clone() }.answers(&req), "seq mismatch");
+        assert!(!Response { cmd: 0x03, ..resp.clone() }.answers(&req), "cmd mismatch");
+        assert!(!Response { netfn: NetFn::App, ..resp }.answers(&req), "netfn mismatch");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! request, get the matching response (sequence number, NetFn *and*
 //! command must all match, so stale or wrapped-sequence responses from
 //! earlier, timed-out requests are rejected rather than mistaken for the
-//! answer). [`transact_retry`] layers bounded retry-with-backoff on top,
-//! re-issuing with a fresh sequence number on transient failures.
+//! answer). [`WireOutcome::capture`] layers bounded retry-with-backoff on
+//! top, re-issuing with a fresh sequence number on transient failures.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -308,25 +308,14 @@ impl RetryPolicy {
     }
 }
 
-/// Issue a command built by `build(seq)` under `retry`, returning the
-/// first non-busy matching response. Transient failures (dropped,
-/// corrupted, timed-out frames, busy completions) are retried; anything
-/// else aborts immediately.
-pub fn transact_retry(
-    link: &mut dyn Transact,
-    retry: &RetryPolicy,
-    build: &dyn Fn(u8) -> Request,
-) -> Result<Response, IpmiError> {
-    transact_retry_counted(link, retry, build).0
-}
-
 /// The terminal result of one retried transaction plus how many attempts
-/// it took — everything a deferred observer needs to reconstruct the
-/// retry/timeout story after the fact. Sharded lock-step managers capture
-/// one of these per wire command on worker threads, then replay them into
-/// the root manager's observability sink in canonical node order (see
-/// `capsim_dcm`), keeping the recorded stream independent of how the
-/// fleet was partitioned.
+/// it took — everything an observer needs to reconstruct the retry/timeout
+/// story after the fact. Every management command runs through
+/// [`WireOutcome::capture`]; the manager (`capsim_dcm`) absorbs the
+/// outcome into health tracking and its observability sink. Sharded
+/// lock-step managers capture on worker threads and absorb at the root in
+/// canonical node order, keeping the recorded stream independent of how
+/// the fleet was partitioned.
 #[derive(Debug)]
 pub struct WireOutcome {
     /// What the transaction finally returned.
@@ -336,83 +325,38 @@ pub struct WireOutcome {
 }
 
 impl WireOutcome {
-    /// Run one retried transaction and capture its outcome.
+    /// Issue a command built by `build(seq)` under `retry` and capture the
+    /// first non-busy matching response. Transient failures (dropped,
+    /// corrupted, timed-out frames, busy completions) are retried; anything
+    /// else aborts immediately.
     pub fn capture(
         link: &mut dyn Transact,
         retry: &RetryPolicy,
         build: &dyn Fn(u8) -> Request,
     ) -> WireOutcome {
-        let (result, attempts) = transact_retry_counted(link, retry, build);
-        WireOutcome { result, attempts }
-    }
-}
-
-/// [`transact_retry`], additionally reporting how many attempts were spent
-/// (≥1). The observability layer turns `attempts − 1` into retry counters
-/// and timeout events; callers that don't care use [`transact_retry`].
-pub fn transact_retry_counted(
-    link: &mut dyn Transact,
-    retry: &RetryPolicy,
-    build: &dyn Fn(u8) -> Request,
-) -> (Result<Response, IpmiError>, u32) {
-    let mut last = IpmiError::TimedOut;
-    let attempts = retry.attempts.max(1);
-    for attempt in 0..attempts {
-        link.set_patience((1u32 << attempt.min(8)).min(retry.max_patience.max(1)));
-        let req = build(link.next_seq());
-        match link.transact(&req) {
-            Ok(resp) if resp.completion == CompletionCode::NodeBusy => {
-                last = IpmiError::Completion(CompletionCode::NodeBusy);
-            }
-            Ok(resp) => {
-                link.set_patience(1);
-                return (Ok(resp), attempt + 1);
-            }
-            Err(e) if e.is_transient() => last = e,
-            Err(e) => {
-                link.set_patience(1);
-                return (Err(e), attempt + 1);
+        let mut last = IpmiError::TimedOut;
+        let attempts = retry.attempts.max(1);
+        for attempt in 0..attempts {
+            link.set_patience((1u32 << attempt.min(8)).min(retry.max_patience.max(1)));
+            let req = build(link.next_seq());
+            match link.transact(&req) {
+                Ok(resp) if resp.completion == CompletionCode::NodeBusy => {
+                    last = IpmiError::Completion(CompletionCode::NodeBusy);
+                }
+                Ok(resp) => {
+                    link.set_patience(1);
+                    return WireOutcome { result: Ok(resp), attempts: attempt + 1 };
+                }
+                Err(e) if e.is_transient() => last = e,
+                Err(e) => {
+                    link.set_patience(1);
+                    return WireOutcome { result: Err(e), attempts: attempt + 1 };
+                }
             }
         }
+        link.set_patience(1);
+        WireOutcome { result: Err(last), attempts }
     }
-    link.set_patience(1);
-    (Err(last), attempts)
-}
-
-/// [`transact_retry`] with the transaction's retry/timeout story recorded
-/// into an observability sink: `ipmi.transactions` / `ipmi.attempts` /
-/// `ipmi.retries` / `ipmi.timeouts` counters, plus a `Retry` event when a
-/// command needed more than one attempt and a `Timeout` event when the
-/// budget ran out. `t_s` is the caller's simulated time (the transport has
-/// no clock of its own). A disabled `obs` reduces this to plain
-/// [`transact_retry`] plus one branch.
-pub fn transact_retry_observed(
-    link: &mut dyn Transact,
-    retry: &RetryPolicy,
-    build: &dyn Fn(u8) -> Request,
-    obs: &mut capsim_obs::Obs,
-    t_s: f64,
-    node: Option<u32>,
-) -> Result<Response, IpmiError> {
-    let (result, attempts) = transact_retry_counted(link, retry, build);
-    if obs.is_enabled() {
-        obs.metrics.inc("ipmi.transactions");
-        obs.metrics.add("ipmi.attempts", attempts as u64);
-        if attempts > 1 {
-            obs.metrics.add("ipmi.retries", (attempts - 1) as u64);
-        }
-        match &result {
-            Ok(_) if attempts > 1 => {
-                obs.events.record_for(t_s, node, capsim_obs::EventKind::Retry { attempts });
-            }
-            Err(e) if e.is_transient() => {
-                obs.metrics.inc("ipmi.timeouts");
-                obs.events.record_for(t_s, node, capsim_obs::EventKind::Timeout { attempts });
-            }
-            _ => {}
-        }
-    }
-    result
 }
 
 /// Constructor namespace for the channel pair.
@@ -597,17 +541,14 @@ impl Transact for ManagerPort {
         ManagerPort::next_seq(self)
     }
 
-    /// Send `req` and wait for the matching response. Sequence number,
-    /// NetFn and command must all match — a delayed response to an
-    /// earlier request (even one whose 8-bit sequence number has wrapped
-    /// around to the same value but belongs to a different command) is
-    /// discarded, not returned.
+    /// Send `req` and wait for the response that [`Response::answers`] it;
+    /// delayed responses to earlier requests are discarded, not returned.
     fn transact(&mut self, req: &Request) -> Result<Response, IpmiError> {
         self.send(req)?;
         let deadline = Instant::now() + self.budget();
         loop {
             let resp = self.recv_until(deadline)?;
-            if resp.seq == req.seq && resp.cmd == req.cmd && resp.netfn == req.netfn {
+            if resp.answers(req) {
                 return Ok(resp);
             }
         }
@@ -881,9 +822,10 @@ mod tests {
             }
         });
         let retry = RetryPolicy { attempts: 16, max_patience: 16 };
-        let resp = transact_retry(&mut mgr, &retry, &|seq| {
+        let resp = WireOutcome::capture(&mut mgr, &retry, &|seq| {
             Request::new(NetFn::App, 0x42, seq, Bytes::new())
-        });
+        })
+        .result;
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         t.join().unwrap();
         let resp = resp.expect("bounded faults, so retry must converge");

@@ -20,6 +20,7 @@ fn main() {
     let mut dcm = Dcm::new();
     let mut threads = Vec::new();
     let mut ids: Vec<NodeId> = Vec::new();
+    let mut ports = Vec::new();
 
     // Boot three nodes with different personalities.
     let workloads: Vec<(&str, Box<dyn Workload + Send>)> = vec![
@@ -29,7 +30,8 @@ fn main() {
     ];
     for (i, (name, mut w)) in workloads.into_iter().enumerate() {
         let (mgr_port, bmc_port) = LanChannel::pair();
-        ids.push(dcm.register_link(name, mgr_port));
+        ids.push(dcm.register(name));
+        ports.push(mgr_port);
         threads.push(std::thread::spawn(move || {
             let mut m = MachineBuilder::e5_2680().seed(100 + i as u64).bmc_port(bmc_port).build();
             let _ = w.run(&mut m);
@@ -42,16 +44,19 @@ fn main() {
     std::thread::sleep(std::time::Duration::from_millis(300));
     let readings: Vec<f64> = ids
         .iter()
-        .map(|&id| dcm.read_power(id).map(|r| r.current_w as f64).unwrap_or(0.0))
+        .map(|&id| {
+            dcm.read_power(id, &mut ports[id.index()]).map(|r| r.current_w as f64).unwrap_or(0.0)
+        })
         .collect();
     println!("initial demand: {readings:?} W");
 
     let budget = 390.0;
     let policy = LadderCapPolicy::with_group(AllocationPolicy::ProportionalToDemand);
-    let caps = dcm.apply_group_budget(budget, &policy).expect("nodes reachable over IPMI");
+    let caps =
+        dcm.apply_group_budget(budget, &policy, &mut ports).expect("nodes reachable over IPMI");
     println!("group budget {budget} W -> caps:");
     for &(id, cap_w) in &caps {
-        let limit = dcm.node_limit(id).expect("limit stored");
+        let limit = dcm.node_limit(id, &mut ports[id.index()]).expect("limit stored");
         println!(
             "  {}: cap {cap_w} W (limit {} W, correction {} ms, {:?})",
             dcm.node_name(id),

@@ -3,7 +3,9 @@
 //! budget reallocation, all in lock-step simulated time (no wall-clock,
 //! no flakiness).
 
-use capsim::dcm::{read_sel_via, violation_count, Dcm, PumpedLink};
+use std::path::PathBuf;
+
+use capsim::dcm::{read_sel, violation_count, Dcm, DcmError, PumpedLink};
 use capsim::ipmi::{
     FaultSpec, IpmiError, LanChannel, Request, Response, RetryPolicy, SelEntry, Transact,
 };
@@ -79,10 +81,10 @@ proptest! {
         let node = dcm.register("n0");
 
         let mut link = PumpedLink::new(&mut port, &mut machine, 16);
-        dcm.cap_node_via(node, &mut link, watts as f64)
+        dcm.cap_node(node, &mut link, watts as f64)
             .expect("retry must converge on an eventually-delivering link");
         let limit = dcm
-            .node_limit_via(node, &mut link)
+            .node_limit(node, &mut link)
             .expect("read-back must converge too");
         prop_assert_eq!(limit.limit_w, watts);
         prop_assert_eq!(dcm.health(node), NodeHealth::Healthy);
@@ -103,7 +105,7 @@ fn sel_audit_over_a_lossy_link_matches_the_nodes_own_log() {
     let node = dcm.register("n0");
     {
         let mut link = PumpedLink::new(&mut port, &mut machine, 16);
-        dcm.cap_node_via(node, &mut link, 118.0).expect("cap lands despite faults");
+        dcm.cap_node(node, &mut link, 118.0).expect("cap lands despite faults");
     }
     // Run the node so the BMC observes the violation and logs it.
     let block = machine.code_block(96, 24);
@@ -123,7 +125,7 @@ fn sel_audit_over_a_lossy_link_matches_the_nodes_own_log() {
     // attempts that the bound, not seed luck, guarantees convergence.
     let patient = RetryPolicy { attempts: 12, ..RetryPolicy::default() };
     let mut link = PumpedLink::new(&mut port, &mut machine, 16);
-    let audited = read_sel_via(&mut link, &patient).expect("SEL readable");
+    let audited = read_sel(&mut link, &patient).expect("SEL readable");
     assert_eq!(audited, truth, "audit over faults must reproduce the node's log exactly");
 }
 
@@ -140,7 +142,7 @@ fn sel_audit_wire_cost_is_proportional_to_the_log_not_the_id_space() {
     let node = dcm.register("n0");
     {
         let mut link = PumpedLink::new(&mut port, &mut machine, 16);
-        dcm.cap_node_via(node, &mut link, 118.0).expect("cap lands despite faults");
+        dcm.cap_node(node, &mut link, 118.0).expect("cap lands despite faults");
     }
     let block = machine.code_block(96, 24);
     for _ in 0..200_000 {
@@ -154,7 +156,7 @@ fn sel_audit_wire_cost_is_proportional_to_the_log_not_the_id_space() {
     let retry = RetryPolicy::default();
     let mut link =
         CountingLink { inner: PumpedLink::new(&mut port, &mut machine, 16), transactions: 0 };
-    let audited = read_sel_via(&mut link, &retry).expect("SEL readable");
+    let audited = read_sel(&mut link, &retry).expect("SEL readable");
     assert_eq!(audited, truth, "counting must not change the audit result");
 
     // Wire cost: one info read plus one get per candidate id — the live
@@ -218,4 +220,98 @@ fn dead_node_is_quarantined_and_its_budget_flows_to_survivors() {
         "healthy nodes converged under their caps: measured {} W vs budget {budget} W",
         last.fleet_power_w
     );
+}
+
+/// The manager's telemetry transcript for one scripted session: every
+/// event it recorded (JSONL) followed by its `ipmi.*`/`dcm.*` counters.
+fn manager_transcript(dcm: &Dcm) -> String {
+    let mut out = dcm.obs.events.to_jsonl();
+    for (k, v) in dcm.obs.metrics.snapshot().counters {
+        if k.starts_with("ipmi.") || k.starts_with("dcm.") {
+            out.push_str(&format!("counter {k} {v}\n"));
+        }
+    }
+    out
+}
+
+#[test]
+fn manager_transcript_matches_the_committed_golden_file() {
+    let (mut lossy_port, bmc_port) = LanChannel::faulty_pair(FaultSpec::lossy(0.3), 0x10c5);
+    let mut lossy_machine = lockstep_machine(41);
+    lossy_machine.attach_bmc_port(bmc_port);
+    let (mut dead_port, bmc_port) = LanChannel::faulty_pair(FaultSpec::dead(), 0xdead);
+    let mut dead_machine = lockstep_machine(42);
+    dead_machine.attach_bmc_port(bmc_port);
+
+    let mut dcm = Dcm::new();
+    dcm.obs = Obs::enabled(1024);
+    let lossy = dcm.register("lossy");
+    let dead = dcm.register("dead");
+
+    let mut t_s = 0.0;
+    {
+        let mut link = PumpedLink::new(&mut lossy_port, &mut lossy_machine, 16);
+        for _ in 0..8 {
+            dcm.set_obs_time_s(t_s);
+            let _ = dcm.read_power(lossy, &mut link);
+            t_s += 0.5;
+        }
+        dcm.set_obs_time_s(t_s);
+        let _ = dcm.cap_node(lossy, &mut link, 130.0);
+        t_s += 0.5;
+        dcm.set_obs_time_s(t_s);
+        let _ = dcm.node_limit(lossy, &mut link);
+        t_s += 0.5;
+        dcm.set_obs_time_s(t_s);
+        let _ = dcm.uncap_node(lossy, &mut link);
+    }
+    {
+        let mut link = PumpedLink::new(&mut dead_port, &mut dead_machine, 16);
+        for _ in 0..dcm.unresponsive_after {
+            t_s += 0.5;
+            dcm.set_obs_time_s(t_s);
+            assert!(dcm.read_power(dead, &mut link).is_err(), "a dead link never answers");
+        }
+    }
+    assert_eq!(dcm.health(dead), NodeHealth::Unresponsive);
+
+    let actual = manager_transcript(&dcm);
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/dcm_manager_events.jsonl");
+    if std::env::var("CAPSIM_BLESS").is_ok() {
+        std::fs::write(&path, &actual).unwrap();
+        eprintln!("blessed manager transcript at {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); generate with CAPSIM_BLESS=1 cargo test --test fault_injection",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "manager transcript diverged from the committed golden file; \
+         if this change is intentional, re-bless with CAPSIM_BLESS=1"
+    );
+}
+
+#[test]
+fn a_foreign_node_id_is_unknown_and_sends_no_frame() {
+    let mut big = Dcm::new();
+    let foreign = (0..3).map(|i| big.register(format!("n{i}"))).last().expect("three nodes");
+    let mut small = Dcm::new();
+    small.register("only");
+
+    let (mut port, bmc_port) = LanChannel::pair();
+    let mut machine = lockstep_machine(5);
+    machine.attach_bmc_port(bmc_port);
+    let mut link =
+        CountingLink { inner: PumpedLink::new(&mut port, &mut machine, 16), transactions: 0 };
+    assert_eq!(small.read_power(foreign, &mut link).unwrap_err(), DcmError::UnknownNode(foreign));
+    assert_eq!(
+        small.cap_node(foreign, &mut link, 130.0).unwrap_err(),
+        DcmError::UnknownNode(foreign)
+    );
+    assert_eq!(link.transactions, 0, "an unknown node must not reach the wire");
 }

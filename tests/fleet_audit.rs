@@ -18,7 +18,7 @@ fn fast(seed: u64) -> Machine {
 
 #[test]
 fn unreachable_cap_leaves_a_sel_paper_trail_readable_over_ipmi() {
-    let (mgr, bmc_port) = LanChannel::pair();
+    let (mut mgr, bmc_port) = LanChannel::pair();
     let stop = Arc::new(AtomicBool::new(false));
     let stop_node = stop.clone();
     let t = std::thread::spawn(move || {
@@ -37,12 +37,15 @@ fn unreachable_cap_leaves_a_sel_paper_trail_readable_over_ipmi() {
     // Short correction time so the scaled run accrues violations (the
     // default 1 s matches paper-scale runs, not millisecond tests).
     dcm.correction_ms = 5;
-    let node = dcm.register_link("n0", mgr);
+    let node = dcm.register("n0");
     // A 118 W cap is below the throttle floor: violations must accrue.
-    dcm.cap_node(node, 118.0).expect("cap accepted");
+    dcm.cap_node(node, &mut mgr, 118.0).expect("cap accepted");
     let mut monitor = FleetMonitor::for_dcm(&dcm, 64);
     for _ in 0..200 {
-        monitor.poll(&mut dcm).expect("node up");
+        match dcm.read_power(node, &mut mgr) {
+            Ok(r) => monitor.record(node, r.current_w as f64),
+            Err(e) => assert!(e.is_transient(), "node up: {e}"),
+        }
         std::thread::yield_now();
     }
     assert_eq!(dcm.health(node), NodeHealth::Healthy);
@@ -51,7 +54,7 @@ fn unreachable_cap_leaves_a_sel_paper_trail_readable_over_ipmi() {
     assert!(mean > 118.0, "floor sits above the cap: {mean}");
     assert_eq!(monitor.hotspots(118.0), vec![node]);
 
-    let sel = read_sel(&mut dcm, node).expect("SEL readable");
+    let sel = read_sel(&mut mgr, &dcm.retry).expect("SEL readable");
     assert!(
         sel.iter().any(|e| e.event == SelEventType::PowerLimitConfigured),
         "configuration logged"

@@ -14,7 +14,7 @@ fn fast(seed: u64) -> Machine {
 
 #[test]
 fn dcm_caps_a_running_node_over_ipmi() {
-    let (mgr, bmc_port) = LanChannel::pair();
+    let (mut mgr, bmc_port) = LanChannel::pair();
     let t = std::thread::spawn(move || {
         let mut m = fast(21);
         m.attach_bmc_port(bmc_port);
@@ -22,19 +22,19 @@ fn dcm_caps_a_running_node_over_ipmi() {
         m.finish_run()
     });
     let mut dcm = Dcm::new();
-    let node = dcm.register_link("n0", mgr);
+    let node = dcm.register("n0");
     // Wait until the node is reporting busy power, then cap it.
     let mut reading = 0;
     for _ in 0..500 {
-        reading = dcm.read_power(node).expect("node up").current_w;
+        reading = dcm.read_power(node, &mut mgr).expect("node up").current_w;
         if reading > 140 {
             break;
         }
         std::thread::yield_now();
     }
     assert!(reading > 140, "node should be drawing busy power, read {reading}");
-    dcm.cap_node(node, 135.0).expect("cap accepted");
-    let limit = dcm.node_limit(node).expect("limit readable");
+    dcm.cap_node(node, &mut mgr, 135.0).expect("cap accepted");
+    let limit = dcm.node_limit(node, &mut mgr).expect("limit readable");
     assert_eq!(limit.limit_w, 135);
     let stats = t.join().expect("node thread");
     // The run started uncapped and ended capped: max above, final below.
@@ -47,9 +47,11 @@ fn group_budget_throttles_every_node_in_the_rack() {
     let mut dcm = Dcm::new();
     let mut threads = Vec::new();
     let mut ids: Vec<NodeId> = Vec::new();
+    let mut ports = Vec::new();
     for i in 0..3u64 {
         let (mgr, bmc_port) = LanChannel::pair();
-        ids.push(dcm.register_link(format!("n{i}"), mgr));
+        ids.push(dcm.register(format!("n{i}")));
+        ports.push(mgr);
         threads.push(std::thread::spawn(move || {
             let mut m = fast(30 + i);
             m.attach_bmc_port(bmc_port);
@@ -60,14 +62,15 @@ fn group_budget_throttles_every_node_in_the_rack() {
     // Let them ramp up, then apply a tight group budget.
     for &id in &ids {
         for _ in 0..500 {
-            if dcm.read_power(id).map(|r| r.current_w).unwrap_or(0) > 140 {
+            if dcm.read_power(id, &mut ports[id.index()]).map(|r| r.current_w).unwrap_or(0) > 140 {
                 break;
             }
             std::thread::yield_now();
         }
     }
-    let caps =
-        dcm.apply_group_budget(3.0 * 135.0, &LadderCapPolicy::new()).expect("budget applied");
+    let caps = dcm
+        .apply_group_budget(3.0 * 135.0, &LadderCapPolicy::new(), &mut ports)
+        .expect("budget applied");
     let expected: Vec<(NodeId, f64)> = ids.iter().map(|&id| (id, 135.0)).collect();
     assert_eq!(caps, expected);
     for t in threads {
@@ -87,7 +90,7 @@ fn inband_and_ipmi_caps_agree() {
         m.finish_run()
     };
     let run_oob = || {
-        let (mgr, bmc_port) = LanChannel::pair();
+        let (mut mgr, bmc_port) = LanChannel::pair();
         let t = std::thread::spawn(move || {
             let mut m = fast(40);
             m.attach_bmc_port(bmc_port);
@@ -97,8 +100,8 @@ fn inband_and_ipmi_caps_agree() {
             m.finish_run()
         });
         let mut dcm = Dcm::new();
-        let node = dcm.register_link("n", mgr);
-        dcm.cap_node(node, 134.0).expect("cap");
+        let node = dcm.register("n");
+        dcm.cap_node(node, &mut mgr, 134.0).expect("cap");
         t.join().expect("node")
     };
     let a = run_inband();
